@@ -240,6 +240,16 @@ impl SimSpec {
         if spec.measure_cycles == 0 {
             return Err(format!("{path}.measure_cycles: must be at least 1"));
         }
+        if spec
+            .warmup_cycles
+            .checked_add(spec.measure_cycles)
+            .and_then(|c| c.checked_add(spec.drain_cycles))
+            .is_none()
+        {
+            return Err(format!(
+                "{path}: warmup_cycles + measure_cycles + drain_cycles overflows u64"
+            ));
+        }
         Ok(spec)
     }
 }

@@ -1,10 +1,9 @@
 //! The unified run frontend: one builder for every run kind, with
 //! optional streaming telemetry.
 //!
-//! Historically each run kind had its own free-function entry point
-//! (`sweep`, `adaptive_sweep`, `run_workload`, `run_serving`,
-//! `resilience_sweep`, plus `Bench::run*` for raw metrics), each reading
-//! the environment on its own. [`Session`] collapses them into one path:
+//! Every run kind — raw metrics, fixed-grid and adaptive sweeps,
+//! collectives, serving, resilience, scenarios — starts here, and the
+//! environment is read in one place ([`SessionConfig`]):
 //!
 //! ```no_run
 //! use wsdf::{AdaptiveConfig, Bench, PatternSpec, Session};
@@ -68,8 +67,8 @@ pub struct SessionConfig {
     /// literal `blocks` selects contiguous blocks; anything else (or
     /// unset) selects the locality partitioner.
     pub partitioner: PartitionerKind,
-    /// Worker-count override (`WSDF_THREADS`, else `RAYON_NUM_THREADS`;
-    /// values are trimmed, non-numeric or zero values are ignored).
+    /// Worker-count override (`WSDF_THREADS`; the value is trimmed,
+    /// non-numeric or zero values are ignored).
     /// `None` falls back to the machine's available parallelism.
     pub threads: Option<usize>,
 }
@@ -83,12 +82,11 @@ impl SessionConfig {
     /// |---|---|
     /// | `WSDF_EVENT_DRIVEN=0` | dense stepping (any other value, or unset: event-driven) |
     /// | `WSDF_PARTITIONER=blocks` | contiguous blocks (any other value, or unset: locality) |
-    /// | `WSDF_THREADS=N` | N workers (trumps `RAYON_NUM_THREADS`) |
-    /// | `RAYON_NUM_THREADS=N` | N workers (only when `WSDF_THREADS` is unset/invalid) |
+    /// | `WSDF_THREADS=N` | N workers (unset/invalid: available parallelism) |
     ///
-    /// Invalid or zero thread counts are ignored (fall through to the
-    /// next source); stepping/partitioner values never fail — unknown
-    /// strings select the default.
+    /// Invalid or zero thread counts are ignored (the machine's available
+    /// parallelism applies); stepping/partitioner values never fail —
+    /// unknown strings select the default.
     pub fn resolve(get: impl Fn(&str) -> Option<String>) -> SessionConfig {
         SessionConfig {
             event_driven: wsdf_sim::config::resolve_event_driven(&get),
@@ -176,7 +174,6 @@ pub struct Session<'a> {
     stepping: Option<Stepping>,
     partitioner: Option<PartitionerKind>,
     pool: Option<&'a BspPool>,
-    dyn_dispatch: bool,
     trace: Option<(TraceConfig, SinkSpec)>,
 }
 
@@ -189,7 +186,6 @@ impl<'a> Session<'a> {
             stepping: None,
             partitioner: None,
             pool: None,
-            dyn_dispatch: false,
             trace: None,
         }
     }
@@ -243,15 +239,6 @@ impl<'a> Session<'a> {
     /// Results are bit-identical for any pool size.
     pub fn pool(mut self, pool: &'a BspPool) -> Session<'a> {
         self.pool = Some(pool);
-        self
-    }
-
-    /// Use per-flit dynamic oracle dispatch instead of the monomorphized
-    /// engine (the old `Bench::run_dyn` behavior; only affects
-    /// [`Session::metrics`]). Results are identical — this is purely a
-    /// compile-time/runtime trade.
-    pub fn dyn_dispatch(mut self) -> Session<'a> {
-        self.dyn_dispatch = true;
         self
     }
 
@@ -361,28 +348,25 @@ impl<'a> Session<'a> {
         }))
     }
 
-    /// Run one open-loop simulation and return its raw [`Metrics`] — the
-    /// successor of `Bench::run` / `Bench::run_on` / `Bench::run_dyn`.
+    /// Run one open-loop simulation and return its raw [`Metrics`].
     pub fn metrics(self, pattern: &dyn TrafficPattern) -> Result<Outcome<Metrics>, String> {
         let bench = self.need_bench("metrics")?;
         let cfg = bench.prepare_cfg(&self.merge_sim(&SimConfig::default()), self.pk());
         let pool = self.pool.unwrap_or_else(|| wsdf_exec::global_pool());
-        let dyn_dispatch = self.dyn_dispatch;
         let active = Self::start_trace(self.trace)?;
-        let tracer = active.as_ref().map(|a| &a.tracer);
-        let report = if dyn_dispatch {
-            bench.run_dyn_prepared(&cfg, pattern, pool, tracer)
-        } else {
-            bench.run_prepared(&cfg, pattern, pool, tracer)
-        }
-        .map_err(|e| format!("session metrics run failed: {e}"))?;
+        let report = bench
+            .run_prepared(&cfg, pattern, pool, active.as_ref().map(|a| &a.tracer))
+            .map_err(|e| format!("session metrics run failed: {e}"))?;
         let trace = Self::finish_trace(active)?;
         Ok(Outcome { report, trace })
     }
 
-    /// Run a fixed-grid load-latency sweep — the successor of `sweep` /
-    /// `sweep_on`. The session's sim/partitions/stepping overrides apply
-    /// on top of `cfg.sim`.
+    /// Run a fixed-grid load-latency sweep: one simulation per offered
+    /// per-chip rate, in order, stopping early past saturation (see
+    /// [`SweepConfig::post_saturation_points`]). Every point runs on the
+    /// same executor, so worker threads and their partition-pinned cache
+    /// state are reused across points. The session's
+    /// sim/partitions/stepping overrides apply on top of `cfg.sim`.
     pub fn sweep(
         self,
         cfg: &SweepConfig,
@@ -410,8 +394,25 @@ impl<'a> Session<'a> {
         Ok(Outcome { report, trace })
     }
 
-    /// Run a saturation-seeking adaptive sweep — the successor of
-    /// `adaptive_sweep` / `adaptive_sweep_on`.
+    /// Run a saturation-seeking adaptive sweep.
+    ///
+    /// Phase 1 anchors the zero-load reference: the start rate is probed,
+    /// then validated by one geometrically slower probe — backing off
+    /// further while the slower probe is materially faster or the current
+    /// lowest point is outright saturated, so a start inside the congested
+    /// region (which cannot be detected from its own numbers alone) does
+    /// not poison the reference. The scan then walks geometric steps up
+    /// from the anchored region until a point saturates, bracketing the
+    /// knee. Phase 2 bisects the bracket until it is narrower than
+    /// [`AdaptiveConfig::rel_tol`] (relative to its upper edge) or the
+    /// [`AdaptiveConfig::max_points`] budget runs out; rates measured
+    /// during back-off seed the bracket directly and are never
+    /// re-simulated.
+    ///
+    /// The driver's decisions depend only on merged metrics, which are
+    /// bit-identical for any partition/worker count, so the report is
+    /// deterministic too (covered by the determinism matrix in
+    /// `tests/determinism_and_vcs.rs`).
     pub fn adaptive(
         self,
         cfg: &AdaptiveConfig,
@@ -440,8 +441,8 @@ impl<'a> Session<'a> {
         Ok(Outcome { report, trace })
     }
 
-    /// Run a collective workload DAG closed-loop — the successor of
-    /// `run_workload` / `run_workload_on`.
+    /// Run a collective workload DAG closed-loop, to quiescence. The
+    /// config's open-loop window fields are ignored.
     pub fn workload(
         self,
         wl: &Workload,
@@ -464,9 +465,11 @@ impl<'a> Session<'a> {
         Ok(Outcome { report, trace })
     }
 
-    /// Run a multi-tenant serving mix — the successor of `run_serving` /
-    /// `run_serving_on`. The trace's job stream covers the concurrent
-    /// run only (isolated baselines are untraced).
+    /// Run a multi-tenant serving mix: materialize the jobs against the
+    /// bench's live endpoints (so placements avoid faulted regions), run
+    /// them all concurrently, then run one instance per served class in
+    /// isolation for the interference baseline. The trace's job stream
+    /// covers the concurrent run only (isolated baselines are untraced).
     pub fn serving(self, spec: &ServingSpec) -> Result<Outcome<ServingReport>, String> {
         let bench = self.need_bench("serving")?;
         let cfg = bench.prepare_cfg(&self.merge_sim(&SimConfig::default()), self.pk());
@@ -477,8 +480,8 @@ impl<'a> Session<'a> {
         Ok(Outcome { report, trace })
     }
 
-    /// Run a fault-injection resilience sweep — the successor of
-    /// `resilience_sweep` / `resilience_sweep_on`. With the `epochs`
+    /// Run a fault-injection resilience sweep (see
+    /// [`crate::resilience`]). With the `epochs`
     /// stream enabled, each fault fraction is delimited by an `epoch`
     /// record in the trace.
     pub fn resilience(
@@ -595,18 +598,9 @@ mod tests {
         let th = |pairs: &[(&str, &str)]| SessionConfig::resolve(env(pairs)).threads;
         assert_eq!(th(&[]), None);
         assert_eq!(th(&[("WSDF_THREADS", "3")]), Some(3));
-        assert_eq!(th(&[("RAYON_NUM_THREADS", "7")]), Some(7));
-        // WSDF_THREADS trumps RAYON_NUM_THREADS.
-        assert_eq!(
-            th(&[("WSDF_THREADS", "2"), ("RAYON_NUM_THREADS", "9")]),
-            Some(2)
-        );
-        // Invalid and zero values fall through to the next source.
+        // Invalid and zero values are ignored.
         assert_eq!(th(&[("WSDF_THREADS", "0")]), None);
-        assert_eq!(
-            th(&[("WSDF_THREADS", "lots"), ("RAYON_NUM_THREADS", "5")]),
-            Some(5)
-        );
+        assert_eq!(th(&[("WSDF_THREADS", "lots")]), None);
         assert_eq!(th(&[("WSDF_THREADS", " 4 ")]), Some(4));
     }
 

@@ -3,10 +3,10 @@
 //!
 //! Two drivers share one measurement core:
 //!
-//! * [`sweep`] — the classic fixed-grid runner: walk a caller-supplied
+//! * [`Session::sweep`](crate::Session::sweep) — the classic fixed-grid runner: walk a caller-supplied
 //!   list of offered rates in order, stop early past saturation. Used by
 //!   the figure harness, whose x-axes mirror the paper's.
-//! * [`adaptive_sweep`] — the saturation-seeking runner: a geometric
+//! * [`Session::adaptive`](crate::Session::adaptive) — the saturation-seeking runner: a geometric
 //!   coarse scan brackets the saturation knee, then bisection narrows the
 //!   bracket to a configurable relative tolerance. It finds the saturation
 //!   throughput with strictly fewer simulations than a dense grid and
@@ -18,7 +18,6 @@
 
 use crate::bench::{Bench, PatternSpec};
 use crate::scenario::PartitionerKind;
-use crate::session::SessionConfig;
 use wsdf_exec::BspPool;
 use wsdf_sim::{Metrics, SimConfig, Tracer};
 
@@ -66,7 +65,7 @@ pub struct SweepConfig {
     pub latency_blowup: f64,
     /// ... or once accepted/offered drops below this.
     pub min_acceptance: f64,
-    /// Fixed-grid driver only ([`sweep`]): keep at most this many points
+    /// Fixed-grid driver only ([`crate::Session::sweep`]): keep at most this many points
     /// past saturation before stopping the walk (the figures show the
     /// "knee" and one diverging point). The adaptive driver ignores it —
     /// bisection keeps every point it measures, saturated or not, because
@@ -100,7 +99,7 @@ impl SweepConfig {
 }
 
 /// Configuration of the adaptive saturation-seeking driver
-/// ([`adaptive_sweep`]).
+/// ([`crate::Session::adaptive`]).
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfig {
     /// Shared sweep settings (simulation template, saturation rule).
@@ -137,7 +136,7 @@ impl AdaptiveConfig {
     }
 }
 
-/// Result of an [`adaptive_sweep`]: the located saturation point plus every
+/// Result of an adaptive sweep ([`crate::Session::adaptive`]): the located saturation point plus every
 /// point measured along the way (sorted by offered load, ready for
 /// [`crate::report::Curve`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -282,66 +281,8 @@ fn latency_max_cycles(m: &Metrics) -> f64 {
     }
 }
 
-/// Run a fixed-grid sweep: one simulation per offered per-chip rate, in
-/// order, stopping early past saturation (see
-/// [`SweepConfig::post_saturation_points`]).
-///
-/// Every point runs on the *same* persistent executor
-/// ([`wsdf_exec::global_pool`], built on first use and shared
-/// process-wide), so worker threads — and their partition-pinned cache
-/// state — are reused across sweep points instead of being re-created per
-/// simulation.
-#[deprecated(
-    since = "0.6.0",
-    note = "use the wsdf Session builder: \
-             Session::bench(&b).sweep(spec, rates)"
-)]
-pub fn sweep(
-    bench: &Bench,
-    cfg: &SweepConfig,
-    spec: PatternSpec,
-    rates_chip: &[f64],
-) -> Vec<SweepPoint> {
-    sweep_impl(
-        bench,
-        cfg,
-        spec,
-        rates_chip,
-        wsdf_exec::global_pool(),
-        SessionConfig::from_env().partitioner,
-        None,
-    )
-}
-
-/// [`sweep`] on an explicit [`BspPool`] executor (results are pool-size
-/// independent; used by the resilience sweep to keep one pool across every
-/// fault fraction).
-#[deprecated(
-    since = "0.6.0",
-    note = "use the wsdf Session builder: \
-             Session::bench(&b).pool(pool).sweep(spec, rates)"
-)]
-pub fn sweep_on(
-    bench: &Bench,
-    cfg: &SweepConfig,
-    spec: PatternSpec,
-    rates_chip: &[f64],
-    pool: &BspPool,
-) -> Vec<SweepPoint> {
-    sweep_impl(
-        bench,
-        cfg,
-        spec,
-        rates_chip,
-        pool,
-        SessionConfig::from_env().partitioner,
-        None,
-    )
-}
-
-/// The fixed-grid sweep core every entry point routes through — the
-/// [`crate::Session`] run kind, the deprecated free functions, and the
-/// resilience probe alike.
+/// The fixed-grid sweep core behind the [`crate::Session`] sweep run kind
+/// and the resilience probe.
 pub(crate) fn sweep_impl(
     bench: &Bench,
     cfg: &SweepConfig,
@@ -374,68 +315,8 @@ pub(crate) fn sweep_impl(
 /// rate; inside it, latency climbs steeply).
 const ANCHOR_SLACK: f64 = 1.5;
 
-/// Run an adaptive saturation-seeking sweep on the process-wide executor.
-///
-/// Phase 1 anchors the zero-load reference: the start rate is probed, then
-/// validated by one geometrically slower probe — backing off further while
-/// the slower probe is materially faster (`ANCHOR_SLACK`) or the current
-/// lowest point is outright saturated, so a start inside the congested
-/// region (which cannot be detected from its own numbers alone) does not
-/// poison the reference. The scan then walks geometric steps up from the
-/// anchored region until a point saturates, bracketing the knee. Phase 2
-/// bisects the bracket until it is narrower than
-/// [`AdaptiveConfig::rel_tol`] (relative to its upper edge) or the
-/// [`AdaptiveConfig::max_points`] budget runs out; rates measured during
-/// back-off seed the bracket directly and are never re-simulated.
-///
-/// All simulations reuse the persistent [`wsdf_exec::global_pool`]
-/// executor, so partition state stays pinned to warm worker threads across
-/// the whole search. The driver's decisions depend only on merged metrics,
-/// which are bit-identical for any partition/worker count — the report is
-/// therefore deterministic too (covered by the determinism matrix in
-/// `tests/determinism_and_vcs.rs`).
-#[deprecated(
-    since = "0.6.0",
-    note = "use the wsdf Session builder: \
-             Session::bench(&b).adaptive(spec, &cfg)"
-)]
-pub fn adaptive_sweep(bench: &Bench, cfg: &AdaptiveConfig, spec: PatternSpec) -> SaturationReport {
-    adaptive_impl(
-        bench,
-        cfg,
-        spec,
-        wsdf_exec::global_pool(),
-        SessionConfig::from_env().partitioner,
-        None,
-    )
-}
-
-/// [`adaptive_sweep`] on an explicit [`BspPool`] executor (results are
-/// pool-size independent; used by the scenario runner to pin worker
-/// counts for digest reproducibility).
-#[deprecated(
-    since = "0.6.0",
-    note = "use the wsdf Session builder: \
-             Session::bench(&b).pool(pool).adaptive(spec, &cfg)"
-)]
-pub fn adaptive_sweep_on(
-    bench: &Bench,
-    cfg: &AdaptiveConfig,
-    spec: PatternSpec,
-    pool: &BspPool,
-) -> SaturationReport {
-    adaptive_impl(
-        bench,
-        cfg,
-        spec,
-        pool,
-        SessionConfig::from_env().partitioner,
-        None,
-    )
-}
-
-/// The saturation-seeking core behind [`adaptive_sweep`] and the
-/// [`crate::Session`] adaptive run kind.
+/// The saturation-seeking core behind the [`crate::Session`] adaptive run
+/// kind.
 pub(crate) fn adaptive_impl(
     bench: &Bench,
     cfg: &AdaptiveConfig,

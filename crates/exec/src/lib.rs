@@ -1,8 +1,7 @@
 //! # wsdf-exec — persistent partition-pinned BSP executor
 //!
 //! The simulation engine advances all BSP partitions once per cycle. Doing
-//! that by spawning scoped threads every cycle (the original rayon-shim
-//! approach) costs a thread create + join per worker per cycle — enough to
+//! that by spawning scoped threads every cycle costs a thread create + join per worker per cycle — enough to
 //! eat all parallelism at engine granularity. [`BspPool`] replaces it with
 //! workers that live as long as the pool:
 //!
@@ -21,8 +20,7 @@
 //!   cycle, keeping router/ring state hot in that core's cache.
 //!
 //! Worker-count policy lives here too: [`configured_threads`] honors
-//! `WSDF_THREADS`, then `RAYON_NUM_THREADS`, then the machine's available
-//! parallelism, and [`global_pool`] lazily builds the one process-wide pool
+//! `WSDF_THREADS`, else the machine's available parallelism, and [`global_pool`] lazily builds the one process-wide pool
 //! that sweeps, benches, and the engine all share — thread state is created
 //! once per process, not once per run.
 //!
@@ -39,27 +37,22 @@
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-/// Resolve a thread-count override from an environment lookup function.
-/// Split out from [`configured_threads`] so the precedence logic is
-/// testable without mutating the process environment, and public so the
-/// `wsdf` crate's `SessionConfig::resolve` can document the full
-/// environment-precedence table in one place without re-implementing
-/// this rule.
+/// Resolve the `WSDF_THREADS` override from an environment lookup
+/// function: a positive integer (surrounding whitespace allowed), else
+/// `None`. Split out from [`configured_threads`] so the rule is testable
+/// without mutating the process environment, and public so the `wsdf`
+/// crate's `SessionConfig::resolve` can document the full environment
+/// table in one place without re-implementing this rule.
 pub fn resolve_threads(get: impl Fn(&str) -> Option<String>) -> Option<usize> {
-    for key in ["WSDF_THREADS", "RAYON_NUM_THREADS"] {
-        if let Some(v) = get(key) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return Some(n);
-                }
-            }
-        }
-    }
-    None
+    get("WSDF_THREADS")?
+        .trim()
+        .parse::<usize>()
+        .ok()
+        .filter(|&n| n > 0)
 }
 
 /// Worker count the process-wide pool is sized with: `WSDF_THREADS` if set,
-/// else `RAYON_NUM_THREADS`, else the machine's available parallelism.
+/// else the machine's available parallelism.
 /// Cached on first use (environment changes after that are ignored).
 pub fn configured_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
@@ -541,8 +534,7 @@ mod tests {
         let outer_calls = AtomicUsize::new(0);
         pool.broadcast(3, |_| {
             outer_calls.fetch_add(1, Ordering::Relaxed);
-            // A job that itself broadcasts (e.g. a rayon-shim scope task
-            // using par_iter_mut) must not dead-lock or corrupt the
+            // A job that itself broadcasts must not dead-lock or corrupt the
             // barrier: it degrades to an inline loop over its slots.
             pool.broadcast(2, |_| {
                 inner_calls.fetch_add(1, Ordering::Relaxed);
@@ -563,12 +555,6 @@ mod tests {
             }
         };
         assert_eq!(resolve_threads(env(&[("WSDF_THREADS", "3")])), Some(3));
-        assert_eq!(resolve_threads(env(&[("RAYON_NUM_THREADS", "7")])), Some(7));
-        assert_eq!(
-            resolve_threads(env(&[("WSDF_THREADS", "2"), ("RAYON_NUM_THREADS", "9")])),
-            Some(2),
-            "WSDF_THREADS wins"
-        );
         assert_eq!(resolve_threads(env(&[("WSDF_THREADS", "0")])), None);
         assert_eq!(resolve_threads(env(&[("WSDF_THREADS", "lots")])), None);
         assert_eq!(resolve_threads(env(&[])), None);

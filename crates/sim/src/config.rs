@@ -20,11 +20,14 @@ pub struct SimConfig {
     /// whenever they arrive). 0 = open-loop snapshot only.
     pub drain_cycles: u64,
     /// Abort if no flit moves anywhere for this many consecutive cycles while
-    /// flits are in flight (deadlock detector). 0 disables.
+    /// flits are in flight — in closed-loop runs, for this many consecutive
+    /// cycles before quiescence (deadlock detector). 0 disables.
     pub watchdog_cycles: u64,
     /// Global RNG seed.
     pub seed: u64,
-    /// Number of BSP partitions; 1 = sequential. `0` = auto (rayon threads).
+    /// Number of BSP partitions; 1 = sequential. `0` = auto: one per
+    /// worker of the process-wide pool, at most one per 256 routers
+    /// ([`crate::effective_partitions`]).
     pub partitions: usize,
     /// Explicit router→partition assignment (length = `num_routers`,
     /// partition ids dense in `0..P`, every partition non-empty). When set
@@ -129,6 +132,14 @@ impl SimConfig {
         if self.measure_cycles == 0 {
             return Err("measure_cycles must be >= 1".into());
         }
+        if self
+            .warmup_cycles
+            .checked_add(self.measure_cycles)
+            .and_then(|c| c.checked_add(self.drain_cycles))
+            .is_none()
+        {
+            return Err("warmup_cycles + measure_cycles + drain_cycles overflows u64".into());
+        }
         Ok(())
     }
 }
@@ -183,5 +194,20 @@ mod tests {
         }
         .validate()
         .is_err());
+        assert_eq!(
+            SimConfig {
+                warmup_cycles: u64::MAX,
+                ..Default::default()
+            }
+            .validate()
+            .unwrap_err(),
+            "warmup_cycles + measure_cycles + drain_cycles overflows u64"
+        );
+        assert!(SimConfig {
+            drain_cycles: u64::MAX - 10_000,
+            ..Default::default()
+        }
+        .validate()
+        .is_ok());
     }
 }

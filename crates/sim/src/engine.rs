@@ -44,10 +44,20 @@
 //!
 //! [`Simulation`] is generic over its [`RouteOracle`], so the per-flit
 //! route computation compiles to direct calls — no vtable dispatch in the
-//! cycle loop. Heterogeneous callers (sweeps over benches with different
-//! oracle types) use [`simulate_dyn`], which instantiates the same engine
-//! with `&dyn RouteOracle` at the API boundary; the blanket
-//! `impl RouteOracle for &T` makes both paths share one implementation.
+//! cycle loop. Callers holding several oracle types (e.g. `wsdf`'s
+//! `BenchOracle` enum) match once per run and enter the engine with the
+//! concrete type; the blanket `impl RouteOracle for &T` lets them borrow
+//! the oracle instead of moving it.
+//!
+//! ## One cycle loop
+//!
+//! Open-loop runs ([`Simulation::run_on`]) and closed-loop runs
+//! ([`Simulation::run_closed_loop_on`]) share a single private cycle loop,
+//! both monomorphized: an open-loop run is driven by an inert
+//! [`WorkloadDriver`], a closed-loop run generates no pattern traffic. What
+//! differs between them is data — the measurement window and end, the
+//! watchdog rule, the fast-forward bound, the rate denominator, and
+//! whether arrival events are collected.
 //!
 //! ## Fixed-capacity channel queues
 //!
@@ -80,7 +90,8 @@ pub enum SimError {
     /// The network or configuration failed validation.
     Invalid(String),
     /// The deadlock watchdog fired: no flit moved for the configured window
-    /// while flits were in flight.
+    /// while flits were in flight (open loop), or before quiescence
+    /// (closed loop).
     Deadlock {
         /// Cycle at which the watchdog gave up.
         cycle: u64,
@@ -556,8 +567,7 @@ pub struct ExchangeEdge {
 ///
 /// The oracle is a type parameter (owned by value; pass `&MyOracle` thanks
 /// to the blanket `impl RouteOracle for &T` to borrow instead), which
-/// monomorphizes the entire cycle loop. Use [`simulate_dyn`] when the
-/// oracle type is only known at runtime.
+/// monomorphizes the entire cycle loop.
 pub struct Simulation<O: RouteOracle> {
     cfg: SimConfig,
     oracle: O,
@@ -1095,93 +1105,220 @@ impl<O: RouteOracle> Simulation<O> {
         wsdf_exec::balanced_ranges(&weights, pool.workers())
     }
 
-    /// Run the full schedule (warm-up + measurement + drain) on the
-    /// process-wide executor ([`wsdf_exec::global_pool`]) and return the
-    /// merged metrics. Errors out if a deadlock is detected.
+    /// [`run_on`](Self::run_on) on the process-wide executor
+    /// ([`wsdf_exec::global_pool`]).
     pub fn run<P: TrafficPattern + ?Sized>(&mut self, pattern: &P) -> SimResult<Metrics> {
         self.run_on(wsdf_exec::global_pool(), pattern)
     }
 
-    /// Like [`run`](Self::run), but on an explicit executor. Results are
-    /// bit-identical for any pool size (the determinism matrix test); the
-    /// pool only bounds how many partitions advance concurrently.
+    /// Run the open-loop schedule (warm-up + measurement + drain) of the
+    /// compiled config with `pattern` generating the traffic, on `pool`,
+    /// and return the merged metrics. Errors out if a deadlock is
+    /// detected. The run ends after the drain window, or earlier once the
+    /// measurement window is over and nothing is in flight or queued.
     ///
-    /// Note that auto partitioning (`cfg.partitions == 0`) was resolved at
-    /// [`Simulation::new`] against the *process-wide* pool size
-    /// ([`wsdf_exec::configured_threads`]); when targeting a pool of a
-    /// different size, set `cfg.partitions` explicitly to match it.
+    /// Results are bit-identical for any pool size (the determinism
+    /// matrix test); the pool only bounds how many partitions advance
+    /// concurrently. Note that auto partitioning (`cfg.partitions == 0`)
+    /// was resolved at [`Simulation::new`] against the *process-wide* pool
+    /// size ([`wsdf_exec::configured_threads`]); when targeting a pool of
+    /// a different size, set `cfg.partitions` explicitly to match it.
     pub fn run_on<P: TrafficPattern + ?Sized>(
         &mut self,
         pool: &BspPool,
         pattern: &P,
     ) -> SimResult<Metrics> {
-        let warm = self.cfg.warmup_cycles;
-        let meas_end = warm + self.cfg.measure_cycles;
-        let total = meas_end + self.cfg.drain_cycles;
+        let sched = Schedule::open(&self.cfg);
+        self.run_loop(pool, pattern, &mut OpenLoop, sched)
+    }
+
+    /// Run a closed-loop workload to quiescence on `pool`.
+    ///
+    /// Unlike [`run_on`](Self::run_on), there is no fixed cycle schedule:
+    /// every cycle starts with [`WorkloadDriver::pre_cycle`] (the driver
+    /// submits whatever messages became eligible through the [`Injector`]),
+    /// advances the network one BSP broadcast, and ends — at the barrier,
+    /// where partition state is globally consistent — by handing the cycle's
+    /// packet [`Arrival`] events to [`WorkloadDriver::on_arrivals`]. The
+    /// run terminates at **quiescence**: the driver reports
+    /// [`done`](WorkloadDriver::done), no flit is in flight, and every
+    /// source queue is empty. All three conditions are functions of merged
+    /// per-partition state evaluated between broadcasts, so the stopping
+    /// cycle — and every metric — is bit-identical for any partition or
+    /// worker count, exactly like the open-loop path.
+    ///
+    /// The whole run is measured (`measure_start = 0`, no drain phase);
+    /// the returned [`Metrics::measure_cycles`] equals the cycles actually
+    /// simulated. The deadlock watchdog stays armed: if nothing moves for
+    /// `watchdog_cycles` consecutive cycles before quiescence — flits stuck
+    /// *or* a driver that never finishes — the run fails with
+    /// [`SimError::Deadlock`] instead of spinning forever.
+    pub fn run_closed_loop_on<W: WorkloadDriver>(
+        &mut self,
+        pool: &BspPool,
+        driver: &mut W,
+    ) -> SimResult<Metrics> {
+        self.run_loop(pool, &IdlePattern, driver, Schedule::CLOSED)
+    }
+
+    /// The one cycle loop behind both run kinds. Per executed cycle:
+    ///
+    /// 1. the driver's [`pre_cycle`](WorkloadDriver::pre_cycle) submits
+    ///    through the [`Injector`];
+    /// 2. one BSP [`step`](Self::step);
+    /// 3. the storm regime update — on storm exit the wake wheels are
+    ///    reseeded and the open-loop emission schedule re-armed;
+    /// 4. the cycle's arrival events, in canonical order, go to the driver;
+    /// 5. the driver's telemetry joins the batch, which is emitted;
+    /// 6. the quiescence exit;
+    /// 7. the deadlock watchdog;
+    /// 8. the idle fast-forward (event stepping outside storms), followed
+    ///    by the quiescence exit again, since the jump may have crossed
+    ///    the end of the measurement window.
+    ///
+    /// Everything that tells an open-loop run from a closed-loop one is
+    /// in `sched` (see [`Schedule`]) and in the driver's
+    /// [`next_release`](WorkloadDriver::next_release).
+    fn run_loop<P: TrafficPattern + ?Sized, W: WorkloadDriver>(
+        &mut self,
+        pool: &BspPool,
+        pattern: &P,
+        driver: &mut W,
+        sched: Schedule,
+    ) -> SimResult<Metrics> {
         let ranges = self.slot_ranges(pool);
+        let watchdog = self.cfg.watchdog_cycles;
+        let mut events: Vec<Arrival> = Vec::new();
+        self.stall = 0;
         if self.event {
             self.init_gen(pattern);
         }
-        while self.now < total {
-            let (moved, in_flight) = self.step(pool, pattern, &ranges, warm, meas_end, false);
-            self.emit_trace_batch();
+        while self.now < sched.end {
+            {
+                // Serial injection point: deterministic by construction
+                // (runs between broadcasts, in whatever order the driver
+                // submits — the driver owns that order).
+                let Simulation {
+                    partitions,
+                    oracle,
+                    ep_loc,
+                    now,
+                    event,
+                    storm,
+                    ..
+                } = self;
+                let mut inj = Injector {
+                    parts: partitions,
+                    ep_loc,
+                    oracle,
+                    now: *now,
+                    // During a storm the wheels are unmaintained; skipping
+                    // submission wakes keeps stale buckets from piling up
+                    // (the post-storm reseed re-wakes queued endpoints).
+                    event: *event && !*storm,
+                };
+                driver.pre_cycle(*now, &mut inj);
+            }
+            let cycle = self.now;
+            let (moved, in_flight) = self.step(
+                pool,
+                pattern,
+                &ranges,
+                sched.measure_start,
+                sched.measure_end,
+                sched.collect_arrivals,
+            );
             if self.update_regime(moved) {
                 // Storm over: the wheels and the emission schedule went
                 // stale while stepping densely — rebuild both.
                 self.reseed();
                 self.init_gen(pattern);
             }
-            if self.cfg.watchdog_cycles > 0 {
-                if moved == 0 && in_flight > 0 {
+            // Drain this cycle's arrival events and put them in canonical
+            // order: ascending ejecting-router id, ties preserving each
+            // router's own ejection sequence (the stable sort keeps the
+            // within-partition order, which is ascending-local-router and
+            // therefore ascending-global within any one partition). This
+            // reproduces the single-partition dense order for *any*
+            // router→partition assignment, contiguous or not.
+            events.clear();
+            for p in &mut self.partitions {
+                events.append(&mut p.arrivals);
+            }
+            let ep_router = &self.ep_router;
+            events.sort_by_key(|a| ep_router[a.dst as usize]);
+            driver.on_arrivals(cycle, &events);
+            // Merge the driver's job-lifecycle records (stamped `cycle`)
+            // into this cycle's batch before the canonical sort, keeping
+            // the emitted stream cycle-monotonic.
+            if self.tracer.is_some() {
+                driver.drain_trace(&mut self.trace_batch);
+            }
+            self.emit_trace_batch();
+            if self.quiescent(&sched, in_flight, driver) {
+                break;
+            }
+            // An unmoved cycle counts toward the watchdog under the
+            // schedule's rule; skipped cycles all have moved == 0, so the
+            // count advances across a jump exactly as if they were stepped.
+            let stalls = sched.stall_counts_idle || in_flight > 0;
+            let deadlock = |cycle| SimError::Deadlock {
+                cycle,
+                in_flight: in_flight.max(0) as u64,
+            };
+            if watchdog > 0 {
+                if moved == 0 && stalls {
                     self.stall += 1;
-                    if self.stall >= self.cfg.watchdog_cycles {
-                        return Err(SimError::Deadlock {
-                            cycle: self.now,
-                            in_flight: in_flight as u64,
-                        });
+                    if self.stall >= watchdog {
+                        return Err(deadlock(self.now));
                     }
                 } else {
                     self.stall = 0;
                 }
             }
-            // Early drain exit: nothing in flight and nothing queued.
-            if self.now >= meas_end && in_flight == 0 && self.backlog() == 0 {
-                break;
-            }
             // Idle fast-forward: jump to the earliest cycle at which
-            // anything can happen. Cycles in between would have been
-            // strict no-op steps, so metrics stay bit-identical; the
-            // watchdog advances as if they had been stepped (they all
-            // have moved == 0).
+            // anything can happen — a network event, an open-loop emission
+            // while injecting, the next window boundary, or the driver's
+            // next release. Only when the driver promises one (`None`
+            // keeps the dense schedule), and never to `u64::MAX` without a
+            // watchdog to end the run there. Cycles in between would have
+            // been strict no-op steps, so metrics stay bit-identical.
             if self.event && !self.storm {
-                let bound = if self.now < meas_end { meas_end } else { total };
-                let gen_live = self.now < meas_end;
-                let target = self.next_event_cycle(gen_live).min(bound);
-                if target > self.now {
-                    let delta = target - self.now;
-                    if self.cfg.watchdog_cycles > 0 && in_flight > 0 {
-                        let left = self.cfg.watchdog_cycles - self.stall;
-                        if delta >= left {
-                            self.now += left;
-                            return Err(SimError::Deadlock {
-                                cycle: self.now,
-                                in_flight: in_flight as u64,
-                            });
+                if let Some(rel) = driver.next_release() {
+                    let injecting = self.now < sched.measure_end;
+                    let bound = if injecting {
+                        sched.measure_end
+                    } else {
+                        sched.end
+                    };
+                    let target = self.next_event_cycle(injecting).min(bound).min(rel);
+                    if target > self.now && (watchdog > 0 || target < u64::MAX) {
+                        let delta = target - self.now;
+                        if watchdog > 0 && stalls {
+                            let left = watchdog - self.stall;
+                            if delta >= left {
+                                self.now += left;
+                                return Err(deadlock(self.now));
+                            }
+                            self.stall += delta;
                         }
-                        self.stall += delta;
-                    }
-                    self.now = target;
-                    self.skipped_cycles += delta;
-                    // The dense loop re-checks the drain exit after every
-                    // cycle; the jump may have crossed measure_end.
-                    if self.now >= meas_end && in_flight == 0 && self.backlog() == 0 {
-                        break;
+                        self.now = target;
+                        self.skipped_cycles += delta;
+                        if self.quiescent(&sched, in_flight, driver) {
+                            break;
+                        }
                     }
                 }
             }
         }
         self.finish_trace();
-        Ok(self.collect())
+        Ok(self.collect(sched.rate_cycles.unwrap_or(self.now)))
+    }
+
+    /// The run may end now: past the schedule's quiescence point, nothing
+    /// in flight, the driver done, and every source queue empty.
+    fn quiescent<W: WorkloadDriver>(&self, sched: &Schedule, in_flight: i64, driver: &W) -> bool {
+        self.now >= sched.quiesce_from && in_flight == 0 && driver.done() && self.backlog() == 0
     }
 
     /// Earliest cycle ≥ `now` at which any partition has pending work:
@@ -1397,15 +1534,9 @@ impl<O: RouteOracle> Simulation<O> {
             .sum()
     }
 
-    /// Merge per-partition metrics into the final result.
-    fn collect(&self) -> Metrics {
-        self.collect_with(self.cfg.measure_cycles)
-    }
-
-    /// [`collect`](Self::collect) with an explicit rate denominator —
-    /// closed-loop runs measure over every cycle actually simulated, not
-    /// the configured open-loop window.
-    fn collect_with(&self, measure_cycles: u64) -> Metrics {
+    /// Merge per-partition metrics into the final result, with
+    /// `measure_cycles` as the rate denominator.
+    fn collect(&self, measure_cycles: u64) -> Metrics {
         let mut m = Metrics {
             measure_cycles,
             endpoints: self.endpoints_total,
@@ -1419,143 +1550,72 @@ impl<O: RouteOracle> Simulation<O> {
         }
         m
     }
+}
 
-    /// Run a closed-loop workload to quiescence on the process-wide
-    /// executor. See [`run_closed_loop_on`](Self::run_closed_loop_on).
-    pub fn run_closed_loop<W: WorkloadDriver>(&mut self, driver: &mut W) -> SimResult<Metrics> {
-        self.run_closed_loop_on(wsdf_exec::global_pool(), driver)
+/// What tells one run kind's schedule from another's: the only inputs the
+/// cycle loop ([`Simulation::run_on`], [`Simulation::run_closed_loop_on`])
+/// branches on besides its driver.
+struct Schedule {
+    /// Traffic created and delivered in `measure_start..measure_end` is
+    /// measured; open-loop generation stops at `measure_end`.
+    measure_start: u64,
+    measure_end: u64,
+    /// The run stops before this cycle at the latest.
+    end: u64,
+    /// The quiescence exit is live from this cycle on.
+    quiesce_from: u64,
+    /// Watchdog rule: an unmoved cycle counts even with no flit in flight
+    /// (closed loop, where a driver that never finishes must trip it), or
+    /// only while flits are in flight (open loop, where idle stretches
+    /// between sparse emissions are normal).
+    stall_counts_idle: bool,
+    /// Record packet-arrival events for the driver.
+    collect_arrivals: bool,
+    /// Rate denominator of the returned metrics; `None` = every cycle run.
+    rate_cycles: Option<u64>,
+}
+
+impl Schedule {
+    /// The open-loop schedule of a validated config: warm-up, measurement
+    /// window, drain.
+    fn open(cfg: &SimConfig) -> Schedule {
+        let measure_end = cfg.warmup_cycles + cfg.measure_cycles;
+        Schedule {
+            measure_start: cfg.warmup_cycles,
+            measure_end,
+            end: measure_end + cfg.drain_cycles,
+            quiesce_from: measure_end,
+            stall_counts_idle: false,
+            collect_arrivals: false,
+            rate_cycles: Some(cfg.measure_cycles),
+        }
     }
 
-    /// Run a closed-loop workload to quiescence on an explicit executor.
-    ///
-    /// Unlike [`run_on`](Self::run_on), there is no fixed cycle schedule:
-    /// every cycle starts with [`WorkloadDriver::pre_cycle`] (the driver
-    /// submits whatever messages became eligible through the [`Injector`]),
-    /// advances the network one BSP broadcast, and ends — at the barrier,
-    /// where partition state is globally consistent — by handing the cycle's
-    /// packet [`Arrival`] events to [`WorkloadDriver::on_arrivals`]. The
-    /// run terminates at **quiescence**: the driver reports
-    /// [`done`](WorkloadDriver::done), no flit is in flight, and every
-    /// source queue is empty. All three conditions are functions of merged
-    /// per-partition state evaluated between broadcasts, so the stopping
-    /// cycle — and every metric — is bit-identical for any partition or
-    /// worker count, exactly like the open-loop path.
-    ///
-    /// The whole run is measured (`measure_start = 0`, no drain phase);
-    /// the returned [`Metrics::measure_cycles`] equals the cycles actually
-    /// simulated. The deadlock watchdog stays armed: if nothing moves for
-    /// `watchdog_cycles` consecutive cycles before quiescence — flits stuck
-    /// *or* a driver that never finishes — the run fails with
-    /// [`SimError::Deadlock`] instead of spinning forever.
-    pub fn run_closed_loop_on<W: WorkloadDriver>(
-        &mut self,
-        pool: &BspPool,
-        driver: &mut W,
-    ) -> SimResult<Metrics> {
-        let idle = IdlePattern;
-        let mut events: Vec<Arrival> = Vec::new();
-        let ranges = self.slot_ranges(pool);
-        self.stall = 0;
-        loop {
-            {
-                // Serial injection point: deterministic by construction
-                // (runs between broadcasts, in whatever order the driver
-                // submits — the driver owns that order).
-                let Simulation {
-                    partitions,
-                    oracle,
-                    ep_loc,
-                    now,
-                    event,
-                    storm,
-                    ..
-                } = self;
-                let mut inj = Injector {
-                    parts: partitions,
-                    ep_loc,
-                    oracle,
-                    now: *now,
-                    // During a storm the wheels are unmaintained; skipping
-                    // submission wakes keeps stale buckets from piling up
-                    // (the post-storm reseed re-wakes queued endpoints).
-                    event: *event && !*storm,
-                };
-                driver.pre_cycle(*now, &mut inj);
-            }
-            let cycle = self.now;
-            let (moved, in_flight) = self.step(pool, &idle, &ranges, 0, u64::MAX, true);
-            if self.update_regime(moved) {
-                // No open-loop schedule to re-arm here: the driver owns
-                // injection, and reseed re-wakes its queued submissions.
-                self.reseed();
-            }
-            // Drain this cycle's arrival events and put them in canonical
-            // order: ascending ejecting-router id, ties preserving each
-            // router's own ejection sequence (the stable sort keeps the
-            // within-partition order, which is ascending-local-router and
-            // therefore ascending-global within any one partition). This
-            // reproduces the single-partition dense order for *any*
-            // router→partition assignment, contiguous or not.
-            events.clear();
-            for p in &mut self.partitions {
-                events.append(&mut p.arrivals);
-            }
-            let ep_router = &self.ep_router;
-            events.sort_by_key(|a| ep_router[a.dst as usize]);
-            driver.on_arrivals(cycle, &events);
-            // Merge the driver's job-lifecycle records (stamped `cycle`)
-            // into this cycle's batch before the canonical sort, keeping
-            // the emitted stream cycle-monotonic.
-            if self.tracer.is_some() {
-                driver.drain_trace(&mut self.trace_batch);
-            }
-            self.emit_trace_batch();
-            if in_flight == 0 && self.backlog() == 0 && driver.done() {
-                break;
-            }
-            if self.cfg.watchdog_cycles > 0 {
-                if moved == 0 {
-                    self.stall += 1;
-                    if self.stall >= self.cfg.watchdog_cycles {
-                        return Err(SimError::Deadlock {
-                            cycle: self.now,
-                            in_flight: in_flight.max(0) as u64,
-                        });
-                    }
-                } else {
-                    self.stall = 0;
-                }
-            }
-            // Idle fast-forward to the earlier of the network's next event
-            // and the driver's next release — but only when the driver
-            // promises one ([`WorkloadDriver::next_release`]; `None` keeps
-            // the dense schedule). Skipped cycles all have moved == 0, so
-            // the closed-loop watchdog (which counts every unmoved cycle)
-            // advances across the jump exactly as if they were stepped.
-            if self.event && !self.storm {
-                if let Some(rel) = driver.next_release() {
-                    let target = self.next_event_cycle(false).min(rel);
-                    if target > self.now && (self.cfg.watchdog_cycles > 0 || target < u64::MAX) {
-                        let delta = target - self.now;
-                        if self.cfg.watchdog_cycles > 0 {
-                            let left = self.cfg.watchdog_cycles - self.stall;
-                            if delta >= left {
-                                self.now += left;
-                                return Err(SimError::Deadlock {
-                                    cycle: self.now,
-                                    in_flight: in_flight.max(0) as u64,
-                                });
-                            }
-                            self.stall += delta;
-                        }
-                        self.now = target;
-                        self.skipped_cycles += delta;
-                    }
-                }
-            }
-        }
-        self.finish_trace();
-        Ok(self.collect_with(self.now))
+    /// The closed-loop schedule: everything measured, no fixed end.
+    const CLOSED: Schedule = Schedule {
+        measure_start: 0,
+        measure_end: u64::MAX,
+        end: u64::MAX,
+        quiesce_from: 0,
+        stall_counts_idle: true,
+        collect_arrivals: true,
+        rate_cycles: None,
+    };
+}
+
+/// The driver of an open-loop run: the pattern generates all traffic, so
+/// it submits nothing, is always done, and never holds the fast-forward
+/// back.
+struct OpenLoop;
+
+impl WorkloadDriver for OpenLoop {
+    fn pre_cycle(&mut self, _now: u64, _inj: &mut Injector<'_>) {}
+    fn on_arrivals(&mut self, _now: u64, _arrivals: &[Arrival]) {}
+    fn done(&self) -> bool {
+        true
+    }
+    fn next_release(&self) -> Option<u64> {
+        Some(u64::MAX)
     }
 }
 
@@ -1714,83 +1774,6 @@ pub fn effective_partitions(requested: usize, routers: usize, workers: usize) ->
     n.clamp(1, routers.max(1))
 }
 
-/// One-shot convenience: compile and run with a statically known oracle.
-///
-/// `O` is taken by value; pass `&oracle` (the blanket `impl RouteOracle
-/// for &T`) to borrow. The cycle loop monomorphizes per oracle type.
-pub fn simulate<O: RouteOracle, P: TrafficPattern + ?Sized>(
-    net: &NetworkDesc,
-    cfg: &SimConfig,
-    oracle: O,
-    pattern: &P,
-) -> SimResult<Metrics> {
-    Simulation::new(net, cfg, oracle)?.run(pattern)
-}
-
-/// [`simulate`] on an explicit executor instead of the process-wide pool.
-/// Worker count never affects results, only wall-clock time.
-pub fn simulate_on<O: RouteOracle, P: TrafficPattern + ?Sized>(
-    net: &NetworkDesc,
-    cfg: &SimConfig,
-    oracle: O,
-    pattern: &P,
-    pool: &BspPool,
-) -> SimResult<Metrics> {
-    Simulation::new(net, cfg, oracle)?.run_on(pool, pattern)
-}
-
-/// The full-surface one-shot entry point: optional [`FaultMap`] (`None`
-/// is byte-for-byte the pristine path) and optional streaming telemetry
-/// ([`Tracer`]). This is the function every higher-level run kind bottoms
-/// out in; prefer the `wsdf::Session` builder for anything user-facing.
-pub fn simulate_traced_on<O: RouteOracle, P: TrafficPattern + ?Sized>(
-    net: &NetworkDesc,
-    cfg: &SimConfig,
-    oracle: O,
-    pattern: &P,
-    pool: &BspPool,
-    faults: Option<&FaultMap>,
-    trace: Option<&Tracer>,
-) -> SimResult<Metrics> {
-    let mut sim = Simulation::with_faults(net, cfg, oracle, faults)?;
-    if let Some(t) = trace {
-        sim.attach_trace(t);
-    }
-    sim.run_on(pool, pattern)
-}
-
-/// [`simulate_on`] with an optional [`FaultMap`]: `None` is byte-for-byte
-/// the pristine path (same compilation, same hot path); `Some` arms the
-/// dead-channel asserts and sizes auto partitions by live routers. See
-/// [`Simulation::with_faults`].
-#[deprecated(
-    since = "0.6.0",
-    note = "use the wsdf Session builder (or simulate_traced_on) instead"
-)]
-pub fn simulate_faulted_on<O: RouteOracle, P: TrafficPattern + ?Sized>(
-    net: &NetworkDesc,
-    cfg: &SimConfig,
-    oracle: O,
-    pattern: &P,
-    pool: &BspPool,
-    faults: Option<&FaultMap>,
-) -> SimResult<Metrics> {
-    simulate_traced_on(net, cfg, oracle, pattern, pool, faults, None)
-}
-
-/// Type-erased entry point for heterogeneous sweeps: same engine, same
-/// semantics, but dispatched through `dyn` references. This is the only
-/// place a `dyn RouteOracle` enters the engine; prefer [`simulate`] when
-/// the oracle type is known at compile time.
-pub fn simulate_dyn(
-    net: &NetworkDesc,
-    cfg: &SimConfig,
-    oracle: &dyn RouteOracle,
-    pattern: &dyn TrafficPattern,
-) -> SimResult<Metrics> {
-    simulate(net, cfg, oracle, pattern)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1799,6 +1782,7 @@ mod tests {
     use crate::oracle::RouteChoice;
     use crate::pattern::UniformPattern;
     use crate::rng::SplitMix64;
+    use wsdf_exec::global_pool;
 
     /// A ring of `n` routers, endpoint on port 0, ring links on ports 1 (cw
     /// out) and 2 (cw in).
@@ -1863,6 +1847,16 @@ mod tests {
         }
     }
 
+    /// Compile `net` and run its open-loop schedule.
+    pub(super) fn run_open<O: RouteOracle>(
+        net: &NetworkDesc,
+        cfg: &SimConfig,
+        oracle: O,
+        pattern: &UniformPattern,
+    ) -> SimResult<Metrics> {
+        Simulation::new(net, cfg, oracle)?.run(pattern)
+    }
+
     pub(super) fn small_cfg() -> SimConfig {
         SimConfig {
             num_vcs: 2,
@@ -1877,7 +1871,7 @@ mod tests {
     #[test]
     fn ring_delivers_traffic() {
         let net = ring(8);
-        let m = simulate(
+        let m = run_open(
             &net,
             &small_cfg(),
             &RingOracle { n: 8 },
@@ -1895,7 +1889,7 @@ mod tests {
     fn throughput_tracks_offered_load_below_saturation() {
         let net = ring(8);
         // Uni ring uniform saturation ≈ 2/avg_dist/... keep well below.
-        let m = simulate(
+        let m = run_open(
             &net,
             &small_cfg(),
             &RingOracle { n: 8 },
@@ -1912,7 +1906,7 @@ mod tests {
     #[test]
     fn saturated_ring_keeps_running_without_deadlock() {
         let net = ring(8);
-        let m = simulate(
+        let m = run_open(
             &net,
             &small_cfg(),
             &RingOracle { n: 8 },
@@ -1936,7 +1930,7 @@ mod tests {
         let run = |parts: usize| {
             let mut c = cfg.clone();
             c.partitions = parts;
-            simulate(
+            run_open(
                 &net,
                 &c,
                 &RingOracle { n: 16 },
@@ -1960,14 +1954,10 @@ mod tests {
             let pool = BspPool::new(workers);
             let mut c = cfg.clone();
             c.partitions = 4;
-            let m = simulate_on(
-                &net,
-                &c,
-                &RingOracle { n: 16 },
-                &UniformPattern::new(16, 0.3),
-                &pool,
-            )
-            .unwrap();
+            let m = Simulation::new(&net, &c, &RingOracle { n: 16 })
+                .unwrap()
+                .run_on(&pool, &UniformPattern::new(16, 0.3))
+                .unwrap();
             assert_eq!(m.packets_ejected, a.packets_ejected, "workers={workers}");
             assert_eq!(m.latency_sum, a.latency_sum, "workers={workers}");
             assert_eq!(
@@ -2069,7 +2059,7 @@ mod tests {
         let net = ring(8);
         let cfg = small_cfg();
         let pattern = UniformPattern::new(8, 0.3);
-        let a = simulate(&net, &cfg, &RingOracle { n: 8 }, &pattern).unwrap();
+        let a = run_open(&net, &cfg, &RingOracle { n: 8 }, &pattern).unwrap();
         let faults = crate::fault::FaultMap::pristine(&net);
         let b = Simulation::with_faults(&net, &cfg, &RingOracle { n: 8 }, Some(&faults))
             .unwrap()
@@ -2081,26 +2071,9 @@ mod tests {
     }
 
     #[test]
-    fn dyn_entry_point_matches_monomorphized_engine() {
-        let net = ring(8);
-        let cfg = small_cfg();
-        let oracle = RingOracle { n: 8 };
-        let pattern = UniformPattern::new(8, 0.3);
-        let a = simulate(&net, &cfg, &oracle, &pattern).unwrap();
-        let b = simulate_dyn(&net, &cfg, &oracle, &pattern).unwrap();
-        assert_eq!(a.packets_created, b.packets_created);
-        assert_eq!(a.packets_ejected, b.packets_ejected);
-        assert_eq!(a.latency_sum, b.latency_sum);
-        assert_eq!(a.latency_max, b.latency_max);
-        assert_eq!(a.flits_injected_measured, b.flits_injected_measured);
-        assert_eq!(a.flits_ejected_measured, b.flits_ejected_measured);
-        assert_eq!(a.class_hops.flit_hops, b.class_hops.flit_hops);
-    }
-
-    #[test]
     fn zero_rate_runs_clean() {
         let net = ring(4);
-        let m = simulate(
+        let m = run_open(
             &net,
             &small_cfg(),
             &RingOracle { n: 4 },
@@ -2159,7 +2132,7 @@ mod tests {
         let net = ring(8);
         let mut sim = Simulation::new(&net, &small_cfg(), &RingOracle { n: 8 }).unwrap();
         let mut driver = burst(6, 4);
-        let m = sim.run_closed_loop(&mut driver).unwrap();
+        let m = sim.run_closed_loop_on(global_pool(), &mut driver).unwrap();
         assert!(driver.done());
         assert_eq!(m.packets_created, 6);
         assert_eq!(m.packets_ejected, 6);
@@ -2196,23 +2169,100 @@ mod tests {
         }
     }
 
-    #[test]
-    fn closed_loop_starved_driver_trips_watchdog() {
-        /// Never submits, never done: the watchdog must end the run.
-        struct Never;
-        impl WorkloadDriver for Never {
-            fn pre_cycle(&mut self, _now: u64, _inj: &mut Injector<'_>) {}
-            fn on_arrivals(&mut self, _now: u64, _arrivals: &[Arrival]) {}
-            fn done(&self) -> bool {
-                false
+    /// Clockwise ring routing on a single VC: no dateline, so the ring's
+    /// cyclic channel dependency wedges under heavy load.
+    struct OneVcRing;
+    impl RouteOracle for OneVcRing {
+        fn route(
+            &self,
+            router: u32,
+            _in_port: u8,
+            _in_vc: u8,
+            pkt: &PacketHeader,
+            _rng: &mut SplitMix64,
+        ) -> RouteChoice {
+            RouteChoice {
+                out_port: if pkt.dst == router { 0 } else { 1 },
+                out_vc: 0,
             }
         }
+        fn initial_vc(&self, _pkt: &PacketHeader) -> u8 {
+            0
+        }
+        fn num_vcs(&self) -> u8 {
+            1
+        }
+    }
+
+    #[test]
+    fn open_loop_deadlock_trips_watchdog_identically_in_both_steppings() {
+        let net = ring(8);
+        let pool = BspPool::new(1);
+        let run = |event_driven: bool| {
+            let cfg = SimConfig {
+                num_vcs: 1,
+                buffer_flits: 4,
+                event_driven,
+                watchdog_cycles: 50,
+                ..small_cfg()
+            };
+            Simulation::new(&net, &cfg, OneVcRing)
+                .unwrap()
+                .run_on(&pool, &UniformPattern::new(8, 1.0))
+                .unwrap_err()
+        };
+        let dense = run(false);
+        let SimError::Deadlock { cycle, in_flight } = dense else {
+            panic!("expected a deadlock, got {dense:?}");
+        };
+        assert!(in_flight > 0);
+        // The wedge forms long before the window ends; the watchdog fires
+        // exactly `watchdog_cycles` unmoved cycles after the last move.
+        assert!(cycle < 900, "watchdog fired late, at cycle {cycle}");
+        assert_eq!(run(true), dense);
+    }
+
+    /// Never submits, never done: only the watchdog can end the run.
+    struct Never {
+        release: Option<u64>,
+    }
+    impl WorkloadDriver for Never {
+        fn pre_cycle(&mut self, _now: u64, _inj: &mut Injector<'_>) {}
+        fn on_arrivals(&mut self, _now: u64, _arrivals: &[Arrival]) {}
+        fn done(&self) -> bool {
+            false
+        }
+        fn next_release(&self) -> Option<u64> {
+            self.release
+        }
+    }
+
+    #[test]
+    fn closed_loop_starved_driver_trips_watchdog() {
+        // The closed-loop rule counts unmoved cycles with nothing in flight
+        // too, so an idle driver trips at exactly `watchdog_cycles` — both
+        // when stepped densely (no release promise) and when the engine
+        // fast-forwards towards a release that never comes.
         let net = ring(4);
-        let mut cfg = small_cfg();
-        cfg.watchdog_cycles = 50;
-        let mut sim = Simulation::new(&net, &cfg, &RingOracle { n: 4 }).unwrap();
-        let err = sim.run_closed_loop(&mut Never).unwrap_err();
-        assert!(matches!(err, SimError::Deadlock { .. }));
+        let cfg = SimConfig {
+            watchdog_cycles: 50,
+            ..small_cfg()
+        };
+        let pool = BspPool::new(1);
+        for release in [None, Some(u64::MAX)] {
+            let mut sim = Simulation::new(&net, &cfg, &RingOracle { n: 4 }).unwrap();
+            let err = sim
+                .run_closed_loop_on(&pool, &mut Never { release })
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SimError::Deadlock {
+                    cycle: 50,
+                    in_flight: 0
+                },
+                "release {release:?}"
+            );
+        }
     }
 
     #[test]
@@ -2240,15 +2290,14 @@ mod tests {
             }
         }
         let net = ring(4);
-        let err = simulate(&net, &small_cfg(), &Greedy, &UniformPattern::new(4, 0.1)).unwrap_err();
+        let err = run_open(&net, &small_cfg(), &Greedy, &UniformPattern::new(4, 0.1)).unwrap_err();
         assert!(matches!(err, SimError::Invalid(_)));
     }
 }
 
 #[cfg(test)]
 mod channel_stat_tests {
-    use super::tests::{ring, small_cfg, RingOracle};
-    use super::*;
+    use super::tests::{ring, run_open, small_cfg, RingOracle};
     use crate::pattern::UniformPattern;
 
     /// Injection flits must equal the flits counted on injection channels,
@@ -2258,7 +2307,7 @@ mod channel_stat_tests {
         let net = ring(8);
         let mut cfg = small_cfg();
         cfg.per_channel_stats = true;
-        let m = simulate(
+        let m = run_open(
             &net,
             &cfg,
             &RingOracle { n: 8 },

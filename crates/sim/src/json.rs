@@ -75,6 +75,7 @@ impl Value {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -253,9 +254,16 @@ pub mod read {
     }
 }
 
+/// Deepest container nesting [`Value::parse`] accepts. Scenario and report
+/// files nest a handful of levels; the cap keeps the recursive descent from
+/// overflowing the stack on hostile input (an abort no caller can catch).
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -293,8 +301,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -455,6 +477,24 @@ mod tests {
         assert_eq!(
             v.get("o").unwrap().get("k").unwrap().as_f64(),
             Some(-2000.0)
+        );
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let arrays = "[".repeat(200_000);
+        let objects = r#"{"a":"#.repeat(200_000);
+        for doc in [&arrays, &objects] {
+            let err = Value::parse(doc).unwrap_err();
+            assert!(err.starts_with("nesting deeper than 128 at byte"), "{err}");
+        }
+        // Exactly at the cap still parses.
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&deep).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(
+            Value::parse(&over).unwrap_err(),
+            "nesting deeper than 128 at byte 128"
         );
     }
 

@@ -20,8 +20,8 @@
 //! * Routing is delegated to a [`RouteOracle`] implemented by downstream
 //!   crates (`wsdf-routing`); traffic to a [`TrafficPattern`]
 //!   (`wsdf-traffic`).
-//! * Besides the open-loop schedule ([`Simulation::run`]), the engine has a
-//!   **closed-loop** mode ([`Simulation::run_closed_loop`]): a
+//! * Besides the open-loop schedule ([`Simulation::run_on`]), the engine has a
+//!   **closed-loop** mode ([`Simulation::run_closed_loop_on`]): a
 //!   [`WorkloadDriver`] injects packets between cycles, observes
 //!   [`Arrival`] events at the BSP barrier, and the run ends at quiescence
 //!   — the substrate of the `wsdf-workload` collective subsystem.
@@ -59,11 +59,8 @@ pub mod wake;
 
 pub use channel::{ChannelClass, ChannelDesc, ChannelId, RingFull, Terminus, TimedRing};
 pub use config::SimConfig;
-#[allow(deprecated)]
-pub use engine::simulate_faulted_on;
 pub use engine::{
-    effective_partitions, simulate, simulate_dyn, simulate_on, simulate_traced_on, ExchangeEdge,
-    Injector, SimError, SimResult, Simulation, WorkloadDriver,
+    effective_partitions, ExchangeEdge, Injector, SimError, SimResult, Simulation, WorkloadDriver,
 };
 pub use fault::FaultMap;
 pub use flit::{Flit, FlitKind, PacketHeader};
