@@ -36,8 +36,7 @@ pub fn run_scenario_file(file: &str, check: bool) -> Result<TargetOutput, String
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {file}: {e}"))?;
     let s = Scenario::from_json_str(&text)?;
     // The Session frontend honors the scenario's optional `telemetry`
-    // section (trace captured in memory); without one this is exactly
-    // `Scenario::run`.
+    // section (trace captured in memory).
     let run = Session::scenario(&s).run()?;
     let outcome = run.report;
     let digest = outcome.digest();

@@ -7,8 +7,6 @@
 //! enum still implements [`RouteOracle`] itself (one match per call) for
 //! callers that need a uniform oracle view, e.g. route walkers.
 
-use crate::scenario::PartitionerKind;
-use crate::session::SessionConfig;
 use wsdf_exec::BspPool;
 use wsdf_routing::{
     DetourOracle, MeshOracle, ReachMap, RouteMode, SlOracle, SwOracle, SwitchNodeOracle, VcScheme,
@@ -347,55 +345,39 @@ impl Bench {
         }
     }
 
-    /// Fill in [`SimConfig::partition_map`] with a locality-aware
-    /// assignment (`wsdf_topo::locality_partition`) when the run will
-    /// actually be parallel and no explicit map was given.
-    ///
-    /// The partition count mirrors exactly what the engine would resolve
-    /// on its own ([`wsdf_sim::effective_partitions`] over live routers
-    /// and `wsdf_exec::configured_threads`), so switching schemes never
-    /// changes *how many* partitions run — only *which* routers share
-    /// one. Results are bit-identical either way; only barrier traffic
-    /// changes. Honors the `WSDF_PARTITIONER` env var (resolved once via
-    /// [`SessionConfig::from_env`]): `blocks` keeps the engine's legacy
-    /// contiguous blocks, anything else (or unset) selects the locality
-    /// partitioner.
-    pub fn apply_partitioner(&self, cfg: &mut SimConfig) {
-        self.apply_partitioner_with(cfg, SessionConfig::from_env().partitioner);
-    }
-
-    /// [`Bench::apply_partitioner`] with an explicit scheme instead of the
-    /// environment default. [`PartitionerKind::Blocks`] leaves the map
-    /// unset — the engine then falls back to its internal contiguous
-    /// blocks, which is exactly what the explicit `contiguous_blocks`
-    /// map would produce.
-    pub fn apply_partitioner_with(&self, cfg: &mut SimConfig, kind: PartitionerKind) {
-        if cfg.partition_map.is_some() || kind != PartitionerKind::Locality {
-            return;
-        }
+    /// The partition count a run requesting `requested` partitions
+    /// actually uses: [`wsdf_sim::effective_partitions`] over this bench's
+    /// live routers and `wsdf_exec::configured_threads`, exactly as the
+    /// engine resolves it.
+    pub(crate) fn run_partitions(&self, requested: usize) -> usize {
         let net = self.fabric.net();
         let live = self
             .fault_map()
             .map_or(net.num_routers(), |f| f.live_routers());
-        let p =
-            wsdf_sim::effective_partitions(cfg.partitions, live, wsdf_exec::configured_threads());
-        if p > 1 {
-            cfg.partition_map = Some(std::sync::Arc::new(wsdf_topo::locality_partition(
-                net,
-                p,
-                self.fault_map(),
-            )));
-        }
+        wsdf_sim::effective_partitions(requested, live, wsdf_exec::configured_threads())
     }
 
     /// Prepare a cloned config for a run: raise the VC count to the
-    /// oracle's requirement and fill in the partition map with `kind`
-    /// (unless an explicit map was given). This is the single config
-    /// normalization point every [`crate::Session`] run kind goes through.
-    pub(crate) fn prepare_cfg(&self, cfg: &SimConfig, kind: PartitionerKind) -> SimConfig {
+    /// oracle's requirement and, when the run will be parallel and no
+    /// explicit [`SimConfig::partition_map`] was given, fill in the
+    /// locality map (`wsdf_topo::locality_partition`) over
+    /// [`Bench::run_partitions`] partitions. This is the single config
+    /// normalization point every [`crate::Session`] run kind goes through,
+    /// and the only place a missing map is resolved. Results are
+    /// bit-identical for any map; only barrier traffic changes.
+    pub(crate) fn prepare_cfg(&self, cfg: &SimConfig) -> SimConfig {
         let mut cfg = cfg.clone();
         cfg.num_vcs = cfg.num_vcs.max(self.oracle.num_vcs());
-        self.apply_partitioner_with(&mut cfg, kind);
+        if cfg.partition_map.is_none() {
+            let p = self.run_partitions(cfg.partitions);
+            if p > 1 {
+                cfg.partition_map = Some(std::sync::Arc::new(wsdf_topo::locality_partition(
+                    self.fabric.net(),
+                    p,
+                    self.fault_map(),
+                )));
+            }
+        }
         cfg
     }
 

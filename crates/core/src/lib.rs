@@ -64,7 +64,7 @@ pub use report::{Curve, Figure, Point};
 pub use resilience::{ResilienceConfig, ResiliencePoint, ResilienceReport};
 pub use scenario::{PartitionerKind, Partitioning, Scenario, ScenarioOutcome, Stepping};
 pub use serving::{ClassStat, JobRecord, ServingReport};
-pub use session::{Outcome, Session, SessionConfig, TraceOutcome};
+pub use session::{Outcome, Session, TraceOutcome};
 pub use sweep::{saturation_rate, AdaptiveConfig, SaturationReport, SweepConfig, SweepPoint};
 pub use wsdf_sim::{SharedBuf, TraceConfig, TraceRec};
 pub use wsdf_workload::Workload;

@@ -28,7 +28,6 @@
 use crate::bench::{Bench, PatternSpec};
 use crate::collective::WorkloadUnits;
 use crate::json::{self, Value};
-use crate::scenario::PartitionerKind;
 use crate::sweep::SweepConfig;
 use wsdf_exec::BspPool;
 use wsdf_sim::{SimConfig, TraceRec, Tracer};
@@ -306,7 +305,6 @@ pub(crate) fn resilience_impl(
     cfg: &ResilienceConfig,
     spec: PatternSpec,
     pool: &BspPool,
-    partitioner: PartitionerKind,
     trace: Option<&Tracer>,
 ) -> ResilienceReport {
     assert!(
@@ -335,10 +333,9 @@ pub(crate) fn resilience_impl(
             sim: cfg.sim.clone(),
             ..Default::default()
         };
-        let probe =
-            crate::sweep::sweep_impl(&fb, &scfg, spec, &[cfg.rate_chip], pool, partitioner, trace)
-                .pop()
-                .expect("single-rate sweep yields one point");
+        let probe = crate::sweep::sweep_impl(&fb, &scfg, spec, &[cfg.rate_chip], pool, trace)
+            .pop()
+            .expect("single-rate sweep yields one point");
 
         // Reachability accounting.
         let (live_endpoints, unreachable_pairs) = match &fb.faults {
@@ -351,7 +348,7 @@ pub(crate) fn resilience_impl(
         let (completion_cycles, collective_chips) = if cfg.collective_flits > 0 && chips.len() >= 2
         {
             let wl = Workload::ring_allreduce(&chips, cfg.collective_flits);
-            let wcfg = fb.prepare_cfg(&cfg.sim, partitioner);
+            let wcfg = fb.prepare_cfg(&cfg.sim);
             let r = crate::collective::run_workload_impl(&fb, &wcfg, &wl, &units, pool, trace)
                 .unwrap_or_else(|e| panic!("[{} @ {f}] allreduce probe: {e}", bench.label));
             (r.completion_cycles, chips.len() as u32)

@@ -16,8 +16,10 @@
 //! * **Canonical round-trip.** [`Scenario::to_json`] writes the full
 //!   resolved form; parsing it back yields an identical scenario.
 //! * **Environment independence.** Stepping mode and the partition map
-//!   are resolved from the scenario itself, never from `WSDF_*` env vars,
-//!   so a scenario's report digest is a pure function of its file.
+//!   come from the scenario itself, and reports are invariant to both
+//!   and to the worker count (`WSDF_THREADS`, the only environment
+//!   input a run reads), so a scenario's report digest is a pure
+//!   function of its file.
 //! * **Golden digests.** [`ScenarioOutcome::digest`] hashes the
 //!   canonical report JSON (FNV-1a via [`crate::json::digest_hex`]),
 //!   giving the `scenarios/` corpus a one-line regression signature per
@@ -254,9 +256,8 @@ impl SimSpec {
     }
 }
 
-/// Engine stepping mode, fixed by the scenario (never the
-/// `WSDF_EVENT_DRIVEN` env var — digests must not depend on the
-/// environment).
+/// Engine stepping mode, fixed by the scenario's `stepping` section and
+/// applied as [`SimConfig::event_driven`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stepping {
     /// Event-driven: idle routers skip, idle stretches fast-forward.
@@ -275,7 +276,9 @@ impl Stepping {
     }
 }
 
-/// Which partition-map builder a scenario uses when it runs parallel.
+/// Which partition-map builder a scenario's `partitioning.partitioner`
+/// names for a parallel run. Only the scenario schema uses it: a bench
+/// run without an explicit map always gets the locality map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionerKind {
     /// Cut-minimizing locality-aware assignment
@@ -296,9 +299,9 @@ impl PartitionerKind {
     }
 }
 
-/// How a scenario assigns routers to BSP partitions. Always resolved to
-/// an explicit [`SimConfig::partition_map`] at execution, so the
-/// `WSDF_PARTITIONER` env var cannot influence a scenario run.
+/// How a scenario assigns routers to BSP partitions: an explicit
+/// [`SimConfig::partition_map`], or a partition count whose map the
+/// named partitioner builds at execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Partitioning {
     /// Build the map with a named partitioner; `partitions == 0` sizes
@@ -1130,7 +1133,7 @@ pub struct Scenario {
 impl Scenario {
     /// Parse a scenario document (the whole file).
     pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let v = Value::parse(text)?;
+        let v = Value::parse(text).map_err(|e| format!("scenario: {e}"))?;
         Self::from_json(&v, "scenario")
     }
 
@@ -1359,8 +1362,8 @@ impl Scenario {
     }
 
     /// The [`SimConfig`] this scenario runs with (before partitioning is
-    /// resolved). Stepping mode comes from the scenario, not the
-    /// environment.
+    /// resolved). Stepping mode comes from the scenario's `stepping`
+    /// section.
     fn sim_config(&self) -> SimConfig {
         SimConfig {
             packet_len: self.sim.packet_len,
@@ -1374,9 +1377,10 @@ impl Scenario {
         }
     }
 
-    /// Resolve [`Self::partitioning`] into an explicit partition map on
-    /// `cfg`, so the engine (and the env-sensitive
-    /// [`Bench::apply_partitioner`] default) never chooses for us.
+    /// Apply [`Self::partitioning`] to `cfg`: an explicit map is checked
+    /// and set; a `blocks` partitioner sets the contiguous-blocks map; a
+    /// `locality` partitioner leaves the map to [`Bench::prepare_cfg`],
+    /// which every run kind calls.
     fn apply_partitioning(&self, bench: &Bench, cfg: &mut SimConfig) -> Result<(), String> {
         let net = bench.fabric.net();
         match &self.partitioning {
@@ -1406,52 +1410,23 @@ impl Scenario {
                 partitions,
                 partitioner,
             } => {
-                let live = bench
-                    .fault_map()
-                    .map_or(net.num_routers(), |f| f.live_routers());
-                let p = wsdf_sim::effective_partitions(
-                    *partitions as usize,
-                    live,
-                    wsdf_exec::configured_threads(),
-                );
-                cfg.partitions = p;
-                if p > 1 {
-                    let map = match partitioner {
-                        PartitionerKind::Locality => {
-                            wsdf_topo::locality_partition(net, p, bench.fault_map())
-                        }
-                        PartitionerKind::Blocks => wsdf_topo::contiguous_blocks(net, p),
-                    };
-                    cfg.partition_map = Some(Arc::new(map));
+                cfg.partitions = *partitions as usize;
+                if *partitioner == PartitionerKind::Blocks {
+                    let p = bench.run_partitions(cfg.partitions);
+                    if p > 1 {
+                        cfg.partition_map = Some(Arc::new(wsdf_topo::contiguous_blocks(net, p)));
+                    }
                 }
             }
         }
         Ok(())
     }
 
-    /// Execute on the process-wide executor.
-    ///
-    /// Note: this ignores [`Self::telemetry`] — producing a trace stream
-    /// requires a sink, which the [`crate::Session`] builder supplies
-    /// (`Session::scenario(&s).run()` captures it and returns the trace
-    /// digest alongside the report).
-    pub fn run(&self) -> Result<ScenarioOutcome, String> {
-        self.run_on(wsdf_exec::global_pool())
-    }
-
-    /// Execute on an explicit [`BspPool`]. Reports (and therefore
-    /// digests) are bit-identical for any pool size, partition count and
-    /// partitioner. Like [`Scenario::run`], telemetry is not captured —
-    /// use the [`crate::Session`] frontend for that.
-    pub fn run_on(&self, pool: &BspPool) -> Result<ScenarioOutcome, String> {
-        self.run_traced_on(pool, None)
-    }
-
-    /// The full run path: every scenario execution — [`Scenario::run`],
-    /// [`Scenario::run_on`], and the [`crate::Session`] frontend — goes
-    /// through here. `trace` attaches streaming telemetry to every
-    /// simulation the run kind performs (observe-only: the outcome is
-    /// bit-identical with and without it).
+    /// The scenario run path behind [`crate::Session::run`]. `trace`
+    /// attaches streaming telemetry to every simulation the run kind
+    /// performs (observe-only: the outcome is bit-identical with and
+    /// without it). Reports (and therefore digests) are bit-identical for
+    /// any pool size, partition count and partition map.
     pub(crate) fn run_traced_on(
         &self,
         pool: &BspPool,
@@ -1460,14 +1435,6 @@ impl Scenario {
         let bench = self.build_bench();
         let mut cfg = self.sim_config();
         self.apply_partitioning(&bench, &mut cfg)?;
-        // Partitioning is already resolved into an explicit map (or a
-        // deliberate single partition) above, so the scheme below is
-        // inert — it only matters when the map is absent. Pass the
-        // scenario's own choice for documentation value.
-        let pk = match &self.partitioning {
-            Partitioning::Auto { partitioner, .. } => *partitioner,
-            Partitioning::Map(_) => PartitionerKind::Locality,
-        };
         match &self.run {
             RunSpec::OpenLoop { rates_chip } => {
                 let t = self.traffic.as_ref().expect("validated at parse");
@@ -1479,7 +1446,7 @@ impl Scenario {
                     sim: cfg,
                     ..Default::default()
                 };
-                let points = sweep_impl(&bench, &scfg, t.pattern, &rates, pool, pk, trace);
+                let points = sweep_impl(&bench, &scfg, t.pattern, &rates, pool, trace);
                 let mut fig = Figure::new(
                     self.name.clone(),
                     format!("scenario {} — {}", self.name, pattern_name(t.pattern)),
@@ -1504,7 +1471,7 @@ impl Scenario {
                     rel_tol: *rel_tol,
                     max_points: *max_points as usize,
                 };
-                let report = adaptive_impl(&bench, &acfg, t.pattern, pool, pk, trace);
+                let report = adaptive_impl(&bench, &acfg, t.pattern, pool, trace);
                 Ok(ScenarioOutcome::Adaptive {
                     label: bench.label.clone(),
                     report,
@@ -1522,7 +1489,7 @@ impl Scenario {
                     flit_bytes: *flit_bytes,
                     clock_ghz: *clock_ghz,
                 };
-                let wcfg = bench.prepare_cfg(&cfg, pk);
+                let wcfg = bench.prepare_cfg(&cfg);
                 let report = run_workload_impl(&bench, &wcfg, &wl, &units, pool, trace)
                     .map_err(|e| format!("scenario.run: closed-loop run failed: {e}"))?;
                 Ok(ScenarioOutcome::ClosedLoop(report))
@@ -1543,11 +1510,11 @@ impl Scenario {
                     seed: *seed,
                     collective_flits: *collective_flits,
                 };
-                let report = resilience_impl(&bench, &rcfg, t.pattern, pool, pk, trace);
+                let report = resilience_impl(&bench, &rcfg, t.pattern, pool, trace);
                 Ok(ScenarioOutcome::Resilience(report))
             }
             RunSpec::Serving { spec } => {
-                let scfg = bench.prepare_cfg(&cfg, pk);
+                let scfg = bench.prepare_cfg(&cfg);
                 let report = run_serving_impl(&bench, &scfg, spec, pool, trace)
                     .map_err(|e| format!("scenario.run: {e}"))?;
                 Ok(ScenarioOutcome::Serving(Box::new(report)))
@@ -1772,6 +1739,12 @@ pub fn digests_json(entries: &[(String, String)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
+
+    /// Run through the one scenario front door.
+    fn run(s: &Scenario) -> Result<ScenarioOutcome, String> {
+        Session::scenario(s).run().map(|out| out.report)
+    }
 
     fn mesh_scenario(run: &str, traffic: &str) -> String {
         format!(
@@ -1906,8 +1879,8 @@ mod tests {
             r#""traffic": {"pattern": "uniform"},"#,
         );
         let s = Scenario::from_json_str(&text).unwrap();
-        let a = s.run().unwrap();
-        let b = s.run().unwrap();
+        let a = run(&s).unwrap();
+        let b = run(&s).unwrap();
         assert_eq!(a.kind(), "open_loop");
         assert_eq!(a.digest(), b.digest());
         assert!(a.report_json().contains("2D-Mesh"));
@@ -1920,7 +1893,7 @@ mod tests {
             "",
         );
         let s = Scenario::from_json_str(&text).unwrap();
-        let out = s.run().unwrap();
+        let out = run(&s).unwrap();
         let ScenarioOutcome::ClosedLoop(r) = &out else {
             panic!("wrong outcome kind")
         };
@@ -1933,7 +1906,7 @@ mod tests {
             "",
         );
         let s = Scenario::from_json_str(&dag).unwrap();
-        let out = s.run().unwrap();
+        let out = run(&s).unwrap();
         assert_eq!(out.kind(), "closed_loop");
     }
 
@@ -1955,7 +1928,7 @@ mod tests {
         // Canonical form round-trips exactly.
         let back = Scenario::from_json_str(&s.to_json()).unwrap();
         assert_eq!(back, s);
-        let out = s.run().unwrap();
+        let out = run(&s).unwrap();
         let ScenarioOutcome::Serving(r) = &out else {
             panic!("wrong outcome kind")
         };
@@ -2029,7 +2002,7 @@ mod tests {
             r#""traffic": {"pattern": "uniform"},"#,
         );
         let s = Scenario::from_json_str(&base).unwrap();
-        let reference = s.run().unwrap().digest();
+        let reference = run(&s).unwrap().digest();
         for partitioning in [
             r#"{"partitions": 4, "partitioner": "blocks"}"#,
             r#"{"partitions": 4, "partitioner": "locality"}"#,
@@ -2037,7 +2010,7 @@ mod tests {
             let mut v = s.clone();
             v.partitioning =
                 Partitioning::from_json(&Value::parse(partitioning).unwrap(), "p").unwrap();
-            assert_eq!(v.run().unwrap().digest(), reference, "{partitioning}");
+            assert_eq!(run(&v).unwrap().digest(), reference, "{partitioning}");
         }
     }
 

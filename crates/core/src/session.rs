@@ -2,8 +2,7 @@
 //! optional streaming telemetry.
 //!
 //! Every run kind — raw metrics, fixed-grid and adaptive sweeps,
-//! collectives, serving, resilience, scenarios — starts here, and the
-//! environment is read in one place ([`SessionConfig`]):
+//! collectives, serving, resilience, scenarios — starts here:
 //!
 //! ```no_run
 //! use wsdf::{AdaptiveConfig, Bench, PatternSpec, Session};
@@ -32,16 +31,20 @@
 //! partition counts, worker counts and stepping modes (see
 //! `wsdf_sim::telemetry`).
 //!
-//! # Environment resolution
+//! # Stepping and partitioning
 //!
-//! [`SessionConfig`] is the single documented resolution point for the
-//! engine's environment knobs — see [`SessionConfig::resolve`] for the
-//! precedence table. Builder methods always override the environment.
+//! A session adds no run option of its own: stepping and partitioning
+//! come from the [`SimConfig`] fields (`event_driven`, `partitions`,
+//! `partition_map`) of a bench session, or from the scenario's
+//! `stepping`/`partitioning` sections. A parallel run without an
+//! explicit map gets the locality map. The only environment input a run
+//! reads is `WSDF_THREADS`, which sizes the process-wide pool
+//! ([`wsdf_exec::configured_threads`]) and never changes a result.
 
 use crate::bench::{Bench, PatternSpec};
 use crate::collective::{run_workload_impl, WorkloadReport, WorkloadUnits};
 use crate::resilience::{resilience_impl, ResilienceConfig, ResilienceReport};
-use crate::scenario::{PartitionerKind, Partitioning, Scenario, ScenarioOutcome, Stepping};
+use crate::scenario::{Scenario, ScenarioOutcome};
 use crate::serving::{run_serving_impl, ServingReport};
 use crate::sweep::{
     adaptive_impl, sweep_impl, AdaptiveConfig, SaturationReport, SweepConfig, SweepPoint,
@@ -54,66 +57,6 @@ use wsdf_sim::{
 };
 use wsdf_workload::tenancy::ServingSpec;
 use wsdf_workload::Workload;
-
-/// The resolved environment configuration every run starts from: one
-/// documented precedence table instead of per-callsite `env::var` reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionConfig {
-    /// Engine stepping default (`WSDF_EVENT_DRIVEN`): only the literal
-    /// `0` selects dense stepping; anything else (or unset) selects
-    /// event-driven.
-    pub event_driven: bool,
-    /// Partition-map scheme default (`WSDF_PARTITIONER`): only the
-    /// literal `blocks` selects contiguous blocks; anything else (or
-    /// unset) selects the locality partitioner.
-    pub partitioner: PartitionerKind,
-    /// Worker-count override (`WSDF_THREADS`; the value is trimmed,
-    /// non-numeric or zero values are ignored).
-    /// `None` falls back to the machine's available parallelism.
-    pub threads: Option<usize>,
-}
-
-impl SessionConfig {
-    /// Resolve the full precedence table from an environment lookup
-    /// function. Pure — the unit tests below pin the table without
-    /// mutating the process environment:
-    ///
-    /// | Variable | Effect |
-    /// |---|---|
-    /// | `WSDF_EVENT_DRIVEN=0` | dense stepping (any other value, or unset: event-driven) |
-    /// | `WSDF_PARTITIONER=blocks` | contiguous blocks (any other value, or unset: locality) |
-    /// | `WSDF_THREADS=N` | N workers (unset/invalid: available parallelism) |
-    ///
-    /// Invalid or zero thread counts are ignored (the machine's available
-    /// parallelism applies); stepping/partitioner values never fail —
-    /// unknown strings select the default.
-    pub fn resolve(get: impl Fn(&str) -> Option<String>) -> SessionConfig {
-        SessionConfig {
-            event_driven: wsdf_sim::config::resolve_event_driven(&get),
-            partitioner: match get("WSDF_PARTITIONER") {
-                Some(v) if v == "blocks" => PartitionerKind::Blocks,
-                _ => PartitionerKind::Locality,
-            },
-            threads: wsdf_exec::resolve_threads(&get),
-        }
-    }
-
-    /// [`SessionConfig::resolve`] over the process environment, cached on
-    /// first use (so a test harness mutating the environment mid-process
-    /// cannot race running simulations). The `event_driven` entry shares
-    /// the cache behind `SimConfig::default()`.
-    pub fn from_env() -> SessionConfig {
-        use std::sync::OnceLock;
-        static CFG: OnceLock<SessionConfig> = OnceLock::new();
-        *CFG.get_or_init(|| SessionConfig {
-            // Not `resolve()` wholesale: `SimConfig::default()` already
-            // caches the stepping read, and the two caches must agree.
-            event_driven: wsdf_sim::config::event_driven_default(),
-            partitioner: SessionConfig::resolve(|k| std::env::var(k).ok()).partitioner,
-            threads: wsdf_exec::resolve_threads(|k| std::env::var(k).ok()),
-        })
-    }
-}
 
 /// Where a session's trace stream went, and (for in-memory captures) the
 /// stream itself.
@@ -170,9 +113,6 @@ struct ActiveTrace {
 pub struct Session<'a> {
     source: Source<'a>,
     sim: Option<SimConfig>,
-    partitions: Option<usize>,
-    stepping: Option<Stepping>,
-    partitioner: Option<PartitionerKind>,
     pool: Option<&'a BspPool>,
     trace: Option<(TraceConfig, SinkSpec)>,
 }
@@ -182,9 +122,6 @@ impl<'a> Session<'a> {
         Session {
             source,
             sim: None,
-            partitions: None,
-            stepping: None,
-            partitioner: None,
             pool: None,
             trace: None,
         }
@@ -210,28 +147,6 @@ impl<'a> Session<'a> {
     /// take their sim section from the scenario instead and ignore this.
     pub fn sim(mut self, cfg: SimConfig) -> Session<'a> {
         self.sim = Some(cfg);
-        self
-    }
-
-    /// Requested BSP partition count (the engine clamps to live routers
-    /// and worker count, exactly like `SimConfig::partitions`).
-    pub fn partitions(mut self, partitions: usize) -> Session<'a> {
-        self.partitions = Some(partitions);
-        self
-    }
-
-    /// Engine stepping mode, overriding the environment default (and the
-    /// scenario's `stepping` section for scenario sessions).
-    pub fn stepping(mut self, stepping: Stepping) -> Session<'a> {
-        self.stepping = Some(stepping);
-        self
-    }
-
-    /// Partition-map scheme, overriding the `WSDF_PARTITIONER` default
-    /// (and the scenario's `partitioning.partitioner` for scenario
-    /// sessions with auto partitioning).
-    pub fn partitioner(mut self, kind: PartitionerKind) -> Session<'a> {
-        self.partitioner = Some(kind);
         self
     }
 
@@ -263,23 +178,11 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// The partitioner scheme this session resolves to.
-    fn pk(&self) -> PartitionerKind {
-        self.partitioner
-            .unwrap_or_else(|| SessionConfig::from_env().partitioner)
-    }
-
-    /// The sim template for bench sessions: builder overrides applied on
-    /// top of `base` (the kind config's template, or the default).
-    fn merge_sim(&self, base: &SimConfig) -> SimConfig {
-        let mut cfg = self.sim.clone().unwrap_or_else(|| base.clone());
-        if let Some(p) = self.partitions {
-            cfg.partitions = p;
-        }
-        if let Some(st) = self.stepping {
-            cfg.event_driven = st == Stepping::Event;
-        }
-        cfg
+    /// The sim template for bench sessions: the builder's
+    /// [`Session::sim`] config, else `base` (the kind config's template,
+    /// or the default).
+    fn sim_or(&self, base: &SimConfig) -> SimConfig {
+        self.sim.clone().unwrap_or_else(|| base.clone())
     }
 
     /// The bench source, or a uniform error for scenario sessions.
@@ -351,7 +254,7 @@ impl<'a> Session<'a> {
     /// Run one open-loop simulation and return its raw [`Metrics`].
     pub fn metrics(self, pattern: &dyn TrafficPattern) -> Result<Outcome<Metrics>, String> {
         let bench = self.need_bench("metrics")?;
-        let cfg = bench.prepare_cfg(&self.merge_sim(&SimConfig::default()), self.pk());
+        let cfg = bench.prepare_cfg(&self.sim_or(&SimConfig::default()));
         let pool = self.pool.unwrap_or_else(|| wsdf_exec::global_pool());
         let active = Self::start_trace(self.trace)?;
         let report = bench
@@ -365,8 +268,8 @@ impl<'a> Session<'a> {
     /// per-chip rate, in order, stopping early past saturation (see
     /// [`SweepConfig::post_saturation_points`]). Every point runs on the
     /// same executor, so worker threads and their partition-pinned cache
-    /// state are reused across points. The session's
-    /// sim/partitions/stepping overrides apply on top of `cfg.sim`.
+    /// state are reused across points. A [`Session::sim`] config
+    /// replaces `cfg.sim`.
     pub fn sweep(
         self,
         cfg: &SweepConfig,
@@ -375,11 +278,10 @@ impl<'a> Session<'a> {
     ) -> Result<Outcome<Vec<SweepPoint>>, String> {
         let bench = self.need_bench("sweep")?;
         let scfg = SweepConfig {
-            sim: self.merge_sim(&cfg.sim),
+            sim: self.sim_or(&cfg.sim),
             ..cfg.clone()
         };
         let pool = self.pool.unwrap_or_else(|| wsdf_exec::global_pool());
-        let pk = self.pk();
         let active = Self::start_trace(self.trace)?;
         let report = sweep_impl(
             bench,
@@ -387,7 +289,6 @@ impl<'a> Session<'a> {
             spec,
             rates_chip,
             pool,
-            pk,
             active.as_ref().map(|a| &a.tracer),
         );
         let trace = Self::finish_trace(active)?;
@@ -421,22 +322,14 @@ impl<'a> Session<'a> {
         let bench = self.need_bench("adaptive")?;
         let acfg = AdaptiveConfig {
             base: SweepConfig {
-                sim: self.merge_sim(&cfg.base.sim),
+                sim: self.sim_or(&cfg.base.sim),
                 ..cfg.base.clone()
             },
             ..cfg.clone()
         };
         let pool = self.pool.unwrap_or_else(|| wsdf_exec::global_pool());
-        let pk = self.pk();
         let active = Self::start_trace(self.trace)?;
-        let report = adaptive_impl(
-            bench,
-            &acfg,
-            spec,
-            pool,
-            pk,
-            active.as_ref().map(|a| &a.tracer),
-        );
+        let report = adaptive_impl(bench, &acfg, spec, pool, active.as_ref().map(|a| &a.tracer));
         let trace = Self::finish_trace(active)?;
         Ok(Outcome { report, trace })
     }
@@ -449,7 +342,7 @@ impl<'a> Session<'a> {
         units: &WorkloadUnits,
     ) -> Result<Outcome<WorkloadReport>, String> {
         let bench = self.need_bench("workload")?;
-        let cfg = bench.prepare_cfg(&self.merge_sim(&SimConfig::default()), self.pk());
+        let cfg = bench.prepare_cfg(&self.sim_or(&SimConfig::default()));
         let pool = self.pool.unwrap_or_else(|| wsdf_exec::global_pool());
         let active = Self::start_trace(self.trace)?;
         let report = run_workload_impl(
@@ -472,7 +365,7 @@ impl<'a> Session<'a> {
     /// covers the concurrent run only (isolated baselines are untraced).
     pub fn serving(self, spec: &ServingSpec) -> Result<Outcome<ServingReport>, String> {
         let bench = self.need_bench("serving")?;
-        let cfg = bench.prepare_cfg(&self.merge_sim(&SimConfig::default()), self.pk());
+        let cfg = bench.prepare_cfg(&self.sim_or(&SimConfig::default()));
         let pool = self.pool.unwrap_or_else(|| wsdf_exec::global_pool());
         let active = Self::start_trace(self.trace)?;
         let report = run_serving_impl(bench, &cfg, spec, pool, active.as_ref().map(|a| &a.tracer))?;
@@ -491,27 +384,18 @@ impl<'a> Session<'a> {
     ) -> Result<Outcome<ResilienceReport>, String> {
         let bench = self.need_bench("resilience")?;
         let rcfg = ResilienceConfig {
-            sim: self.merge_sim(&cfg.sim),
+            sim: self.sim_or(&cfg.sim),
             ..cfg.clone()
         };
         let pool = self.pool.unwrap_or_else(|| wsdf_exec::global_pool());
-        let pk = self.pk();
         let active = Self::start_trace(self.trace)?;
-        let report = resilience_impl(
-            bench,
-            &rcfg,
-            spec,
-            pool,
-            pk,
-            active.as_ref().map(|a| &a.tracer),
-        );
+        let report = resilience_impl(bench, &rcfg, spec, pool, active.as_ref().map(|a| &a.tracer));
         let trace = Self::finish_trace(active)?;
         Ok(Outcome { report, trace })
     }
 
     /// Execute a scenario session: dispatch on the scenario's run
-    /// section, with builder overrides applied (stepping, partitions,
-    /// partitioner) and telemetry from the builder or, failing that, the
+    /// section, with telemetry from the builder or, failing that, the
     /// scenario's own `telemetry` section (captured in memory).
     pub fn run(self) -> Result<Outcome<ScenarioOutcome>, String> {
         let Source::Scenario(scenario) = self.source else {
@@ -519,33 +403,16 @@ impl<'a> Session<'a> {
                  (metrics/sweep/adaptive/workload/serving/resilience)"
                 .to_string());
         };
-        // Builder overrides rewrite the scenario sections they shadow,
-        // so the single scenario run path sees one consistent spec.
-        let mut eff = scenario.clone();
-        if let Some(st) = self.stepping {
-            eff.stepping = st;
-        }
-        if let Some(p) = self.partitions {
-            let keep = match &eff.partitioning {
-                Partitioning::Auto { partitioner, .. } => *partitioner,
-                Partitioning::Map(_) => PartitionerKind::Locality,
-            };
-            eff.partitioning = Partitioning::Auto {
-                partitions: p as u64,
-                partitioner: self.partitioner.unwrap_or(keep),
-            };
-        } else if let Some(pk) = self.partitioner {
-            if let Partitioning::Auto { partitioner, .. } = &mut eff.partitioning {
-                *partitioner = pk;
-            }
-        }
         let trace = match self.trace {
             Some(t) => Some(t),
-            None => eff.telemetry.clone().map(|cfg| (cfg, SinkSpec::Buffer)),
+            None => scenario
+                .telemetry
+                .clone()
+                .map(|cfg| (cfg, SinkSpec::Buffer)),
         };
         let pool = self.pool.unwrap_or_else(|| wsdf_exec::global_pool());
         let active = Self::start_trace(trace)?;
-        let report = eff.run_traced_on(pool, active.as_ref().map(|a| &a.tracer))?;
+        let report = scenario.run_traced_on(pool, active.as_ref().map(|a| &a.tracer))?;
         let trace = Self::finish_trace(active)?;
         Ok(Outcome { report, trace })
     }
@@ -554,67 +421,6 @@ impl<'a> Session<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn env<'p>(pairs: &'p [(&'p str, &'p str)]) -> impl Fn(&str) -> Option<String> + 'p {
-        move |k| {
-            pairs
-                .iter()
-                .find(|(name, _)| *name == k)
-                .map(|(_, v)| v.to_string())
-        }
-    }
-
-    #[test]
-    fn precedence_table_stepping() {
-        assert!(SessionConfig::resolve(env(&[])).event_driven);
-        assert!(!SessionConfig::resolve(env(&[("WSDF_EVENT_DRIVEN", "0")])).event_driven);
-        assert!(SessionConfig::resolve(env(&[("WSDF_EVENT_DRIVEN", "1")])).event_driven);
-        // Only the literal "0" opts out — anything else is event-driven.
-        assert!(SessionConfig::resolve(env(&[("WSDF_EVENT_DRIVEN", "false")])).event_driven);
-        assert!(SessionConfig::resolve(env(&[("WSDF_EVENT_DRIVEN", "")])).event_driven);
-    }
-
-    #[test]
-    fn precedence_table_partitioner() {
-        let pk = |pairs: &[(&str, &str)]| SessionConfig::resolve(env(pairs)).partitioner;
-        assert_eq!(pk(&[]), PartitionerKind::Locality);
-        assert_eq!(
-            pk(&[("WSDF_PARTITIONER", "blocks")]),
-            PartitionerKind::Blocks
-        );
-        assert_eq!(
-            pk(&[("WSDF_PARTITIONER", "locality")]),
-            PartitionerKind::Locality
-        );
-        // Unknown values select the default, never error.
-        assert_eq!(
-            pk(&[("WSDF_PARTITIONER", "BLOCKS")]),
-            PartitionerKind::Locality
-        );
-    }
-
-    #[test]
-    fn precedence_table_threads() {
-        let th = |pairs: &[(&str, &str)]| SessionConfig::resolve(env(pairs)).threads;
-        assert_eq!(th(&[]), None);
-        assert_eq!(th(&[("WSDF_THREADS", "3")]), Some(3));
-        // Invalid and zero values are ignored.
-        assert_eq!(th(&[("WSDF_THREADS", "0")]), None);
-        assert_eq!(th(&[("WSDF_THREADS", "lots")]), None);
-        assert_eq!(th(&[("WSDF_THREADS", " 4 ")]), Some(4));
-    }
-
-    #[test]
-    fn from_env_is_cached_and_consistent() {
-        let a = SessionConfig::from_env();
-        let b = SessionConfig::from_env();
-        assert_eq!(a, b);
-        assert_eq!(
-            a.event_driven,
-            wsdf_sim::config::event_driven_default(),
-            "from_env must share the stepping cache behind SimConfig::default()"
-        );
-    }
 
     #[test]
     fn bench_session_runs_and_traces_in_memory() {

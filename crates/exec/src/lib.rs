@@ -40,9 +40,9 @@ use std::thread::JoinHandle;
 /// Resolve the `WSDF_THREADS` override from an environment lookup
 /// function: a positive integer (surrounding whitespace allowed), else
 /// `None`. Split out from [`configured_threads`] so the rule is testable
-/// without mutating the process environment, and public so the `wsdf`
-/// crate's `SessionConfig::resolve` can document the full environment
-/// table in one place without re-implementing this rule.
+/// without mutating the process environment. `WSDF_THREADS` is the only
+/// environment input that shapes a run, and it moves wall time, never
+/// results.
 pub fn resolve_threads(get: impl Fn(&str) -> Option<String>) -> Option<usize> {
     get("WSDF_THREADS")?
         .trim()

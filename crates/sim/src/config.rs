@@ -1,6 +1,7 @@
 //! Simulation parameters (Table IV of the paper).
 
-/// Engine configuration. `Default` reproduces Table IV exactly.
+/// Engine configuration. `Default` reproduces Table IV exactly and reads
+/// no environment variable.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Packet length in flits (Table IV: 4).
@@ -45,8 +46,8 @@ pub struct SimConfig {
     /// Event-driven stepping: only routers/endpoints with pending work run
     /// each cycle, and fully idle stretches are fast-forwarded. Results
     /// are bit-identical to the dense loop (covered by
-    /// `tests/event_equivalence.rs`); `false` forces the dense loop. The
-    /// default honors the `WSDF_EVENT_DRIVEN` env var (`0` disables).
+    /// `tests/event_equivalence.rs`); `false` forces the dense loop.
+    /// Default: `true`.
     pub event_driven: bool,
 }
 
@@ -65,29 +66,9 @@ impl Default for SimConfig {
             partition_map: None,
             per_endpoint_stats: false,
             per_channel_stats: false,
-            event_driven: event_driven_default(),
+            event_driven: true,
         }
     }
-}
-
-/// Process-wide default for [`SimConfig::event_driven`]: the
-/// `WSDF_EVENT_DRIVEN` env var, where only the literal `0` opts out.
-/// Cached so repeated `SimConfig::default()` calls cannot race a test
-/// harness mutating the environment mid-run. Public so the `wsdf`
-/// crate's `SessionConfig::from_env` resolves stepping from the same
-/// cached read instead of a second per-callsite lookup.
-pub fn event_driven_default() -> bool {
-    use std::sync::OnceLock;
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| resolve_event_driven(|k| std::env::var(k).ok()))
-}
-
-/// The pure resolution rule behind [`event_driven_default`]: only the
-/// literal `0` in `WSDF_EVENT_DRIVEN` selects dense stepping; anything
-/// else (or unset) selects event-driven. Split out so the precedence
-/// table is testable without mutating the process environment.
-pub fn resolve_event_driven(get: impl Fn(&str) -> Option<String>) -> bool {
-    get("WSDF_EVENT_DRIVEN").is_none_or(|v| v != "0")
 }
 
 impl SimConfig {
@@ -155,6 +136,7 @@ mod tests {
         assert_eq!(c.buffer_flits, 32);
         assert_eq!(c.total_cycles(), 10_000);
         assert_eq!(c.warmup_cycles, 5_000);
+        assert!(c.event_driven);
         c.validate().unwrap();
     }
 

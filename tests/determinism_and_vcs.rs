@@ -280,13 +280,16 @@ fn partition_maps_bit_identical() {
 }
 
 /// The adaptive bisection sweep must be bit-identical across partition
-/// counts {1, 2, 4} on both topology families: the driver's rate
+/// counts {1, 2, 4} × maps {default (locality), contiguous blocks} on
+/// both topology families and in both stepping modes: the driver's rate
 /// decisions depend only on merged metrics, which the BSP contract makes
 /// partition-invariant — so the whole search trajectory (every probed
 /// rate, every percentile, the final saturation estimate) must reproduce
 /// exactly.
 #[test]
 fn adaptive_sweep_bit_identical_across_partitions() {
+    use std::sync::Arc;
+    use wsdf::topo::contiguous_blocks;
     let benches: Vec<(&str, Bench)> = vec![
         (
             "switchless",
@@ -302,9 +305,14 @@ fn adaptive_sweep_bit_identical_across_partitions() {
         ),
     ];
     for (name, bench) in benches {
-        let run = |parts: usize| {
+        let run = |parts: usize, event: bool, blocks: bool| {
             let mut base = SweepConfig::default().scaled(0.1);
             base.sim.partitions = parts;
+            base.sim.event_driven = event;
+            if blocks {
+                base.sim.partition_map =
+                    Some(Arc::new(contiguous_blocks(bench.fabric.net(), parts)));
+            }
             let cfg = AdaptiveConfig {
                 base,
                 start_chip: 0.2,
@@ -316,12 +324,17 @@ fn adaptive_sweep_bit_identical_across_partitions() {
                 .unwrap()
                 .report
         };
-        let base = run(1);
-        assert!(base.points.len() >= 3, "{name}: sweep too short");
-        assert!(base.sat_chip > 0.0, "{name}: no saturation estimate");
-        for parts in [2usize, 4] {
-            let m = run(parts);
-            assert_eq!(m, base, "{name} p={parts}: adaptive sweep diverged");
+        for event in [true, false] {
+            let base = run(1, event, false);
+            assert!(base.points.len() >= 3, "{name}: sweep too short");
+            assert!(base.sat_chip > 0.0, "{name}: no saturation estimate");
+            for parts in [2usize, 4] {
+                for blocks in [false, true] {
+                    let m = run(parts, event, blocks);
+                    let tag = format!("{name} ev={event} p={parts} blocks={blocks}");
+                    assert_eq!(m, base, "{tag}: adaptive sweep diverged");
+                }
+            }
         }
     }
 }
@@ -350,7 +363,8 @@ fn seed_stability() {
 }
 
 /// Every (mode, scheme) combination of the switch-less oracle survives a
-/// near-saturation run with the deadlock watchdog armed. This is the
+/// near-saturation run with the deadlock watchdog armed, in both stepping
+/// modes. This is the
 /// empirical arm of the paper's deadlock-freedom claims (the analytic arm
 /// is the up*/down* legality test in wsdf-routing).
 #[test]
@@ -366,13 +380,18 @@ fn no_deadlock_near_saturation_all_schemes() {
         // Push well past saturation: source queues overflow but flits must
         // keep moving.
         let pattern = bench.pattern(PatternSpec::Uniform, 0.6);
-        let m = Session::bench(&bench)
-            .sim(cfg(0))
-            .metrics(pattern.as_ref())
-            .unwrap_or_else(|e| panic!("{mode:?}/{scheme:?}: {e}"))
-            .report;
-        assert!(!m.deadlocked, "{mode:?}/{scheme:?} deadlocked");
-        assert!(m.packets_ejected > 0);
+        for event in [true, false] {
+            let m = Session::bench(&bench)
+                .sim(SimConfig {
+                    event_driven: event,
+                    ..cfg(0)
+                })
+                .metrics(pattern.as_ref())
+                .unwrap_or_else(|e| panic!("{mode:?}/{scheme:?} ev={event}: {e}"))
+                .report;
+            assert!(!m.deadlocked, "{mode:?}/{scheme:?} ev={event} deadlocked");
+            assert!(m.packets_ejected > 0);
+        }
     }
 }
 
@@ -383,8 +402,14 @@ fn no_deadlock_switchbased() {
     for mode in [RouteMode::Minimal, RouteMode::Valiant] {
         let bench = Bench::switchbased(&p, mode);
         let pattern = bench.pattern(PatternSpec::WorstCase, 0.8);
-        let m = run(&bench, &cfg(0), pattern.as_ref());
-        assert!(!m.deadlocked);
+        for event in [true, false] {
+            let c = SimConfig {
+                event_driven: event,
+                ..cfg(0)
+            };
+            let m = run(&bench, &c, pattern.as_ref());
+            assert!(!m.deadlocked, "{mode:?} ev={event} deadlocked");
+        }
     }
 }
 

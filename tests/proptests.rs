@@ -801,13 +801,15 @@ fn scenario_round_trip_preserves_report_digest() {
         let back =
             Scenario::from_json_str(&s.to_json()).unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(back, s, "case {case}");
-        let a = s
+        let a = wsdf::Session::scenario(&s)
             .run()
             .unwrap_or_else(|e| panic!("case {case}: {e}"))
+            .report
             .digest();
-        let b = back
+        let b = wsdf::Session::scenario(&back)
             .run()
             .unwrap_or_else(|e| panic!("case {case} (reparsed): {e}"))
+            .report
             .digest();
         assert_eq!(a, b, "case {case}: digest drift after round-trip");
     }

@@ -96,11 +96,14 @@ fn reports_are_bit_identical_across_partitions_and_workers() {
                     partitioner: PartitionerKind::Locality,
                 };
                 let pool = BspPool::new(workers);
-                let out = s.run_on(&pool).unwrap_or_else(|err| {
-                    panic!("{} (P={partitions}, W={workers}): {err}", e.file)
-                });
+                let out = Session::scenario(&s)
+                    .pool(&pool)
+                    .run()
+                    .unwrap_or_else(|err| {
+                        panic!("{} (P={partitions}, W={workers}): {err}", e.file)
+                    });
                 assert_eq!(
-                    &out.digest(),
+                    &out.report.digest(),
                     want,
                     "{}: report differs at P={partitions}, W={workers}",
                     e.file
@@ -184,8 +187,10 @@ fn mutating_scenario_fields_changes_the_digest() {
     let digest_of = |mutate: &dyn Fn(&mut Scenario)| {
         let mut s = base.clone();
         mutate(&mut s);
-        s.run()
+        Session::scenario(&s)
+            .run()
             .unwrap_or_else(|e| panic!("mutant run failed: {e}"))
+            .report
             .digest()
     };
     type Mutant<'a> = (&'a str, &'a dyn Fn(&mut Scenario));
@@ -227,7 +232,11 @@ fn mutating_scenario_fields_changes_the_digest() {
     let mut s = uniform.clone();
     s.sim.seed += 1;
     assert_ne!(
-        s.run().expect("seed mutant").digest(),
+        Session::scenario(&s)
+            .run()
+            .expect("seed mutant")
+            .report
+            .digest(),
         digests["mesh_fig10_adaptive.json"],
         "mutating sim.seed did not change the digest"
     );

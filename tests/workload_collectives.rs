@@ -7,10 +7,11 @@
 //! {1, 2, 4} on both evaluated topology families, with every run
 //! terminating at quiescence rather than a fixed cycle budget.
 
+use std::sync::Arc;
 use wsdf::exec::BspPool;
 use wsdf::routing::{RouteMode, VcScheme};
 use wsdf::sim::SimConfig;
-use wsdf::topo::{SlParams, SwParams};
+use wsdf::topo::{contiguous_blocks, SlParams, SwParams};
 use wsdf::{Bench, Session, Workload, WorkloadReport, WorkloadUnits};
 
 fn run_workload(bench: &Bench, cfg: SimConfig, wl: &Workload) -> WorkloadReport {
@@ -60,19 +61,34 @@ fn cfg(partitions: usize) -> SimConfig {
 }
 
 /// Allreduce + all-to-all completion cycles (and the full report) are
-/// bit-identical across partitions {1, 2, 4} on both topology families.
+/// bit-identical across partitions {1, 2, 4} × maps {default (locality),
+/// contiguous blocks} on both topology families, in both stepping modes.
 #[test]
 fn collective_reports_bit_identical_across_partitions() {
     for (name, bench) in families() {
         let participants = chip_participants(&bench);
+        let net = bench.fabric.net();
         for wl in acceptance_workloads(&participants) {
-            let run = |parts: usize| -> WorkloadReport { run_workload(&bench, cfg(parts), &wl) };
-            let base = run(1);
-            assert!(base.completion_cycles > 0, "{name}/{}", wl.name);
-            assert_eq!(base.flits, wl.total_flits());
-            for parts in [2usize, 4] {
-                let r = run(parts);
-                assert_eq!(r, base, "{name}/{} partitions={parts}", wl.name);
+            for event in [true, false] {
+                let run = |parts: usize, blocks: bool| -> WorkloadReport {
+                    let mut c = cfg(parts);
+                    c.event_driven = event;
+                    if blocks {
+                        c.partition_map = Some(Arc::new(contiguous_blocks(net, parts)));
+                    }
+                    run_workload(&bench, c, &wl)
+                };
+                let base = run(1, false);
+                assert!(base.completion_cycles > 0, "{name}/{}", wl.name);
+                assert_eq!(base.flits, wl.total_flits());
+                for parts in [2usize, 4] {
+                    for blocks in [false, true] {
+                        let r = run(parts, blocks);
+                        let tag =
+                            format!("{name}/{} ev={event} p={parts} blocks={blocks}", wl.name);
+                        assert_eq!(r, base, "{tag}");
+                    }
+                }
             }
         }
     }
